@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace p2p::graph {
@@ -32,18 +33,37 @@ double clustering_coefficient(const Graph& g) {
 }
 
 double characteristic_path_length(const Graph& g) {
-  double sum = 0.0;
-  std::size_t pairs = 0;
-  for (Vertex v = 0; v < g.order(); ++v) {
-    const std::vector<int> dist = g.bfs_distances(v);
-    for (Vertex w = 0; w < g.order(); ++w) {
-      if (w != v && dist[w] != kUnreachable) {
-        sum += dist[w];
-        ++pairs;
+  // One BFS per source over a reused distance array; each BFS touches only
+  // the source's component and resets just the vertices it visited. Hop
+  // sums are exact integers, so the result equals a double accumulation
+  // over the same pairs bit for bit (every partial sum is below 2^53).
+  const std::size_t n = g.order();
+  std::vector<int> dist(n, kUnreachable);
+  std::vector<Vertex> queue;
+  queue.reserve(n);
+  std::uint64_t sum = 0;
+  std::uint64_t pairs = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    queue.clear();
+    queue.push_back(v);
+    dist[v] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex u = queue[head];
+      for (const Vertex w : g.neighbors(u)) {
+        if (dist[w] == kUnreachable) {
+          dist[w] = dist[u] + 1;
+          queue.push_back(w);
+        }
       }
     }
+    for (const Vertex w : queue) {
+      sum += static_cast<std::uint64_t>(dist[w]);
+      dist[w] = kUnreachable;
+    }
+    pairs += queue.size() - 1;  // every visited vertex but the source
   }
-  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  return pairs == 0 ? 0.0
+                    : static_cast<double>(sum) / static_cast<double>(pairs);
 }
 
 SmallWorldMetrics analyze(const Graph& g) {

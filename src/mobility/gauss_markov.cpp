@@ -16,28 +16,31 @@ GaussMarkov::GaussMarkov(const GaussMarkovParams& params, sim::RngStream rng)
     : params_(params), rng_(std::move(rng)) {
   P2P_ASSERT(params_.alpha >= 0.0 && params_.alpha <= 1.0);
   P2P_ASSERT(params_.step > 0.0);
-  pos_ = {rng_.uniform(0.0, params_.region.width),
-          rng_.uniform(0.0, params_.region.height)};
+  leg_.to = {rng_.uniform(0.0, params_.region.width),
+             rng_.uniform(0.0, params_.region.height)};
   speed_ = params_.mean_speed;
   direction_ = rng_.uniform(0.0, 2.0 * kPi);
-  next_pos_ = pos_;
+  leg_.moving = true;
+  leg_.span = params_.step;
   advance_step();  // compute the first segment target
 }
 
 void GaussMarkov::advance_step() {
-  pos_ = next_pos_;
+  const geo::Vec2 pos = leg_.to;
+  leg_.from = pos;
+  leg_.end = leg_.start + params_.step;
 
   // Steer the mean direction back toward the middle near edges.
   double mean_dir = direction_;
   const double margin = params_.edge_margin;
-  const bool near_left = pos_.x < margin;
-  const bool near_right = pos_.x > params_.region.width - margin;
-  const bool near_bottom = pos_.y < margin;
-  const bool near_top = pos_.y > params_.region.height - margin;
+  const bool near_left = pos.x < margin;
+  const bool near_right = pos.x > params_.region.width - margin;
+  const bool near_bottom = pos.y < margin;
+  const bool near_top = pos.y > params_.region.height - margin;
   if (near_left || near_right || near_bottom || near_top) {
     const geo::Vec2 center{params_.region.width / 2.0,
                            params_.region.height / 2.0};
-    mean_dir = std::atan2(center.y - pos_.y, center.x - pos_.x);
+    mean_dir = std::atan2(center.y - pos.y, center.x - pos.x);
   }
 
   const double a = params_.alpha;
@@ -50,16 +53,12 @@ void GaussMarkov::advance_step() {
 
   const geo::Vec2 delta{std::cos(direction_) * speed_ * params_.step,
                         std::sin(direction_) * speed_ * params_.step};
-  next_pos_ = params_.region.clamp(pos_ + delta);
+  leg_.to = params_.region.clamp(pos + delta);
 }
 
-geo::Vec2 GaussMarkov::position_at(sim::SimTime t) {
-  while (t >= segment_start_ + params_.step) {
-    segment_start_ += params_.step;
-    advance_step();
-  }
-  const double f = (t - segment_start_) / params_.step;
-  return pos_ + (next_pos_ - pos_) * f;
+Leg GaussMarkov::leg_at(sim::SimTime t) {
+  advance_to(t);
+  return leg_;
 }
 
 }  // namespace p2p::mobility

@@ -28,16 +28,24 @@ class GaussMarkov final : public MobilityModel {
  public:
   GaussMarkov(const GaussMarkovParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  Leg leg_at(sim::SimTime t) override;
 
  private:
+  void advance_to(sim::SimTime t) {
+    while (t >= leg_.end) {
+      leg_.start = leg_.end;
+      advance_step();
+    }
+  }
+  /// Move to the next segment: leg_.from becomes the old target, a new
+  /// target is drawn, and leg_.end = leg_.start + step.
   void advance_step();
 
   GaussMarkovParams params_;
   sim::RngStream rng_;
-  sim::SimTime segment_start_ = 0.0;
-  geo::Vec2 pos_;       // position at segment_start_
-  geo::Vec2 next_pos_;  // position at segment_start_ + step
+  // Current segment: from the position at leg_.start toward the one at
+  // leg_.start + step, always moving with span == step.
+  Leg leg_;
   double speed_;
   double direction_;
 };

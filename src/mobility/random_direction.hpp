@@ -24,18 +24,19 @@ class RandomDirection final : public MobilityModel {
  public:
   RandomDirection(const RandomDirectionParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  Leg leg_at(sim::SimTime t) override;
 
  private:
+  void advance_to(sim::SimTime t) {
+    while (t >= leg_.end) begin_next_leg();
+  }
   void begin_next_leg();
 
   RandomDirectionParams params_;
   sim::RngStream rng_;
-  bool pausing_ = true;
-  sim::SimTime leg_start_time_ = 0.0;
-  sim::SimTime leg_end_time_ = 0.0;
-  geo::Vec2 leg_start_pos_;
-  geo::Vec2 leg_end_pos_;  // boundary hit point of the current movement
+  // Current leg: a pause at leg_.from (== leg_.to) or a walk from
+  // leg_.from to the boundary hit point leg_.to.
+  Leg leg_;
 };
 
 }  // namespace p2p::mobility

@@ -10,48 +10,38 @@ RandomWaypoint::RandomWaypoint(const RandomWaypointParams& params,
   P2P_ASSERT(params_.max_speed > 0.0);
   P2P_ASSERT(params_.min_speed > 0.0 && params_.min_speed <= params_.max_speed);
   P2P_ASSERT(params_.max_pause >= 0.0);
-  leg_start_pos_ = {rng_.uniform(0.0, params_.region.width),
-                    rng_.uniform(0.0, params_.region.height)};
-  leg_end_pos_ = leg_start_pos_;
-  if (params_.pause_first) {
-    pausing_ = true;
-    leg_end_time_ = rng_.uniform(0.0, params_.max_pause);
-  } else {
-    pausing_ = true;
-    leg_end_time_ = 0.0;  // immediately transitions into a movement leg
-  }
+  // Start with a pause at the initial point; without pause_first it is
+  // empty and the first query immediately starts a movement leg.
+  leg_.from = {rng_.uniform(0.0, params_.region.width),
+               rng_.uniform(0.0, params_.region.height)};
+  leg_.to = leg_.from;
+  leg_.end = params_.pause_first ? rng_.uniform(0.0, params_.max_pause) : 0.0;
+  leg_.span = leg_.end;
 }
 
 void RandomWaypoint::begin_next_leg() {
-  leg_start_time_ = leg_end_time_;
-  if (pausing_) {
+  const geo::Vec2 here = leg_.to;
+  leg_.start = leg_.end;
+  leg_.from = here;
+  if (!leg_.moving) {
     // Start moving toward a fresh waypoint.
-    pausing_ = false;
-    leg_start_pos_ = leg_end_pos_;
-    leg_end_pos_ = {rng_.uniform(0.0, params_.region.width),
-                    rng_.uniform(0.0, params_.region.height)};
+    leg_.to = {rng_.uniform(0.0, params_.region.width),
+               rng_.uniform(0.0, params_.region.height)};
     const double speed = rng_.uniform(params_.min_speed, params_.max_speed);
-    const double dist = geo::distance(leg_start_pos_, leg_end_pos_);
-    leg_end_time_ = leg_start_time_ + (speed > 0.0 ? dist / speed : 0.0);
+    const double dist = geo::distance(leg_.from, leg_.to);
+    leg_.end = leg_.start + (speed > 0.0 ? dist / speed : 0.0);
   } else {
     // Arrived: pause at the waypoint.
-    pausing_ = true;
-    leg_start_pos_ = leg_end_pos_;
-    leg_end_time_ = leg_start_time_ + rng_.uniform(0.0, params_.max_pause);
+    leg_.to = here;
+    leg_.end = leg_.start + rng_.uniform(0.0, params_.max_pause);
   }
+  leg_.moving = !leg_.moving;
+  leg_.span = leg_.end - leg_.start;
 }
 
-void RandomWaypoint::advance_to(sim::SimTime t) {
-  while (t >= leg_end_time_) begin_next_leg();
-}
-
-geo::Vec2 RandomWaypoint::position_at(sim::SimTime t) {
+Leg RandomWaypoint::leg_at(sim::SimTime t) {
   advance_to(t);
-  if (pausing_) return leg_start_pos_;
-  const double span = leg_end_time_ - leg_start_time_;
-  if (span <= 0.0) return leg_end_pos_;
-  const double f = (t - leg_start_time_) / span;
-  return leg_start_pos_ + (leg_end_pos_ - leg_start_pos_) * f;
+  return leg_;
 }
 
 }  // namespace p2p::mobility

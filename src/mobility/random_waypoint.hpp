@@ -26,26 +26,24 @@ class RandomWaypoint final : public MobilityModel {
   /// `rng` must be a dedicated per-node stream (taken by value).
   RandomWaypoint(const RandomWaypointParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  Leg leg_at(sim::SimTime t) override;
 
-  /// Position the model was initialized with (uniform over the region).
-  geo::Vec2 initial_position() const noexcept { return leg_start_pos_; }
+  /// Position the model was initialized with (uniform over the region);
+  /// strictly, the start of the current leg, which is the initial position
+  /// until the first leg ends.
+  geo::Vec2 initial_position() const noexcept { return leg_.from; }
 
  private:
-  void advance_to(sim::SimTime t);
+  void advance_to(sim::SimTime t) {
+    while (t >= leg_.end) begin_next_leg();
+  }
   void begin_next_leg();
 
   RandomWaypointParams params_;
   sim::RngStream rng_;
-
-  // Current leg: either pausing at leg_start_pos_ until leg_end_time_, or
-  // moving from leg_start_pos_ to leg_end_pos_ over [leg_start_time_,
-  // leg_end_time_].
-  bool pausing_ = true;
-  sim::SimTime leg_start_time_ = 0.0;
-  sim::SimTime leg_end_time_ = 0.0;
-  geo::Vec2 leg_start_pos_;
-  geo::Vec2 leg_end_pos_;
+  // Current leg: a pause at leg_.from (== leg_.to) or a walk from
+  // leg_.from to the waypoint leg_.to.
+  Leg leg_;
 };
 
 }  // namespace p2p::mobility

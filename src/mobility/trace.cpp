@@ -1,5 +1,7 @@
 #include "mobility/trace.hpp"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -25,7 +27,13 @@ geo::Vec2 TraceModel::interpolate(const TraceStep& s, geo::Vec2 from,
   return from + (s.target - from) * (travel / dist);
 }
 
-geo::Vec2 TraceModel::position_at(sim::SimTime t) {
+Leg TraceModel::leg_at(sim::SimTime t) {
+  const geo::Vec2 pos = replay(t);
+  return {t, std::nextafter(t, std::numeric_limits<sim::SimTime>::infinity()),
+          pos, pos, 0.0, false};
+}
+
+geo::Vec2 TraceModel::replay(sim::SimTime t) const {
   // Walk the schedule: each step moves the node from wherever the previous
   // steps left it at the step's start_time, until it is preempted by the
   // next step or the query time is reached.

@@ -28,7 +28,10 @@ class TraceModel final : public MobilityModel {
   /// by start_time; a step preempts any unfinished previous movement.
   TraceModel(geo::Vec2 initial, std::vector<TraceStep> steps);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  /// The schedule is replayed from the start on every call, so the leg is
+  /// a stationary one valid for the single instant [t, nextafter(t)):
+  /// repeated queries at one instant reuse it, later ones ask again.
+  Leg leg_at(sim::SimTime t) override;
 
   /// Parse a simple text format, one step per line:
   ///   <start_time> <x> <y> <speed>
@@ -40,6 +43,8 @@ class TraceModel final : public MobilityModel {
  private:
   /// Position at time t assuming motion began at (t0, from) toward step s.
   static geo::Vec2 interpolate(const TraceStep& s, geo::Vec2 from, sim::SimTime t);
+  /// Position at time t, replaying the whole schedule.
+  geo::Vec2 replay(sim::SimTime t) const;
 
   geo::Vec2 initial_;
   std::vector<TraceStep> steps_;

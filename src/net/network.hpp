@@ -6,6 +6,13 @@
 // random defer jitter (see mac.hpp), and a node's own transmissions
 // serialize, approximating a half-duplex radio.
 //
+// Positions come from a dense per-node table of mobility legs (see
+// mobility::Leg): a position query is one interpolation, and the node's
+// model is asked for a new leg only when the cached one expires. Candidate
+// receivers come from a NeighborIndex rebuilt in full from that table once
+// per staleness window (`index_tolerance_s`); every candidate is then
+// range-checked against its fresh position.
+//
 // Network is strictly below routing: it never inspects payloads, it only
 // moves FramePayload blobs between nodes and charges energy.
 #pragma once
@@ -35,19 +42,6 @@ struct NetworkParams {
   MacParams mac;
   double index_tolerance_s = 0.25; // spatial-index staleness bound
   double max_speed_hint = 1.0;     // upper bound on any node's speed (m/s)
-  // Incremental spatial-index maintenance: resample only the nodes whose
-  // cell-safe deadline expired instead of rebuilding the whole index every
-  // tolerance window. Bit-identical results either way (candidate sets are
-  // exact-filtered downstream). Below the population threshold the full
-  // counting-sort rebuild from cached positions is measurably cheaper
-  // than deadline-heap bookkeeping (sampling a few hundred positions per
-  // window costs less than the heap churn that avoids it), so incremental
-  // maintenance engages only once the population makes per-window
-  // whole-fleet resampling the bigger bill. Set the threshold to 0 to
-  // force incremental at any size (the determinism suite does, to prove
-  // the two modes equivalent at small n).
-  bool incremental_index = true;
-  std::size_t incremental_index_min_nodes = 8192;
 };
 
 class Network {
@@ -76,11 +70,17 @@ class Network {
   void unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
                std::size_t bytes);
 
-  /// Current position of `id`. Memoized per (node, SimTime): repeated
-  /// queries at the same simulated instant (range filters, gray-zone
-  /// distances, snapshots) pay the virtual mobility call and its trig
-  /// only once.
-  geo::Vec2 position_of(NodeId id);
+  /// Current position of `id`: the node's cached mobility leg evaluated
+  /// at now (see mobility::Leg). The virtual model call happens only when
+  /// the leg has expired, so range filters, gray-zone distances and
+  /// snapshots cost one interpolation each.
+  geo::Vec2 position_of(NodeId id) {
+    // Keyed to the *global* clock — forbidden inside a shard window (use
+    // the index's cached positions there; see the sharded_* paths).
+    P2P_DASSERT(tls_lane_ == nullptr);
+    P2P_ASSERT(id < legs_.size());
+    return position_at(id, sim_->now());
+  }
   bool in_range(NodeId a, NodeId b);
   /// Live neighbors within range of `id` (exact, fresh positions).
   void neighbors_of(NodeId id, std::vector<NodeId>* out);
@@ -266,20 +266,16 @@ class Network {
  private:
   // Cold per-node state: touched on add/attach, at transmit time (energy,
   // tx serialization), and at delivery fan-out. The fields the candidate
-  // loops read per neighbor — position memo and liveness — are split into
-  // the dense pos_cache_/down_ arrays below (structure-of-arrays), so a
-  // range filter over k candidates touches k*24 bytes, not k NodeStates.
+  // loops read per neighbor — current mobility leg and liveness — are
+  // split into the dense legs_/down_ arrays below (structure-of-arrays),
+  // so a range filter over k candidates never touches a NodeState or a
+  // mobility model.
   struct NodeState {
     std::unique_ptr<mobility::MobilityModel> mobility;
     EnergyModel energy;
     std::vector<LinkListener*> listeners;
     bool failed = false;
     sim::SimTime next_free_tx = 0.0;
-  };
-  // position_of memoization, keyed by the simulated instant.
-  struct PosCache {
-    geo::Vec2 pos{0.0, 0.0};
-    sim::SimTime time = -1.0;  // SimTime is never negative
   };
 
   // ---- sharded-mode state -----------------------------------------------
@@ -344,26 +340,26 @@ class Network {
   sim::SimTime sharded_schedule_tx(Lane& lane, NodeState& node,
                                    double duration);
   bool sharded_link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
-  /// Refresh the index if stale at window start `start`; positions are
-  /// sampled at `start` (the barrier instant — the only sharded-mode point
-  /// that may touch the mobility models). Because refreshes happen only at
-  /// barriers, the index can age up to lookahead past the tolerance by the
-  /// end of a window — sub-millimetre extra drift at the defaults,
-  /// absorbed by the candidate prune's age compensation.
-  void sharded_refresh_index(sim::SimTime start);
-  static geo::Vec2 sharded_sample(void* ctx, NodeId id);
-  geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
   void note_energy_death(Lane& lane, NodeId id);
   std::uint32_t lane_acquire_batch(Lane& lane);
   void lane_release_batch(Lane& lane, std::uint32_t batch);
 
-  /// Refresh the spatial index. Incremental mode drains the index's
-  /// deadline heap (O(boundary-crossers)); full-rebuild mode resamples the
-  /// whole population into the position scratch buffer.
-  void refresh_index();
-  /// PositionSampler trampoline for NeighborIndex::refresh_incremental
-  /// (ctx is the Network; warms the per-node position memo as it samples).
-  static geo::Vec2 sample_position(void* ctx, NodeId id);
+  /// Position of `id` at `t` from its leg, fetching the next leg from the
+  /// model only once `t` has run past the cached one. `t` must be
+  /// non-decreasing per node (the mobility contract).
+  geo::Vec2 position_at(NodeId id, sim::SimTime t) {
+    mobility::Leg& leg = legs_[id];
+    if (t >= leg.end) leg = nodes_[id].mobility->leg_at(t);
+    return leg.at(t);
+  }
+  /// Rebuild the spatial index from every node's position at `t` if it is
+  /// stale there. Sequential paths pass the global clock; sharded mode
+  /// passes the window start (the barrier instant — the only sharded-mode
+  /// point that may touch the mobility models), so there the index can
+  /// age up to one lookahead past the tolerance by the end of a window —
+  /// sub-millimetre extra drift at the defaults, absorbed by the candidate
+  /// prune's age compensation.
+  void refresh_index(sim::SimTime t);
   /// Exact in-range receiver set for a transmission from `sender`.
   void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
@@ -393,7 +389,7 @@ class Network {
   NetworkParams params_;
   sim::RngStream mac_rng_;
   std::vector<NodeState> nodes_;
-  std::vector<PosCache> pos_cache_;  // hot: position memo per node
+  std::vector<mobility::Leg> legs_;  // hot: current mobility leg per node
   std::vector<std::uint8_t> down_;   // hot: 1 = failed or battery dead
   NeighborIndex index_;
   std::vector<geo::Vec2> scratch_positions_;
@@ -481,8 +477,6 @@ class Network {
   /// not consult the self-clearing faults_active(), whose answer depends
   /// on the global clock.
   bool faults_frozen_ = false;
-  /// Barrier instant positions are sampled at (sharded_sample trampoline).
-  sim::SimTime sharded_sample_time_ = 0.0;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which routes every dispatching entry point
   /// (broadcast, unicast, pools, in_range, ...) to the sequential path.

@@ -240,6 +240,13 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // so existing cache entries keep their keys.
   if (p.effective_sim_shards() > 1) {
     put(os, "sim_shards", static_cast<std::uint64_t>(p.effective_sim_shards()));
+    // Population-scoped behavior revision, like random_code_rev: rev 2
+    // filters in-window ranges against full-rebuild index positions.
+    // Sharded worlds of >= 8192 nodes used to take the incremental index
+    // mode, whose cached positions differed, so only their entries move.
+    if (p.num_nodes >= 8192) {
+      put(os, "sharded_index_rev", std::uint64_t{2});
+    }
   }
   // The event-queue backend gate never changes results (both backends pop
   // in the identical (time, seq) order), but a pinned non-default value is

@@ -246,6 +246,10 @@ void run_session(int fd, Scheduler* scheduler, Metrics* metrics,
       if (nl == std::string::npos) break;
       if (draining) {
         draining = false;  // tail of the oversized line — discard
+      } else if (nl - start + 1 > limits.max_line) {
+        // Over the limit but complete within one read: the partial-line
+        // check below never saw it, so answer it here.
+        if (!session.reject_oversized_line()) return;
       } else if (!session.handle_line(
                      std::string_view(buffer).substr(start, nl - start))) {
         return;

@@ -7,17 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include "mobility/random_waypoint.hpp"
-#include "net/network.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/run.hpp"
@@ -334,78 +330,6 @@ TEST_F(CacheDirTest, CachedResultRoundTripsBitIdentical) {
             computed.frames_transmitted.mean());
   EXPECT_EQ(loaded.frames_transmitted.variance(),
             computed.frames_transmitted.variance());
-}
-
-// ---- Incremental vs full-rebuild NeighborIndex equivalence -------------
-//
-// The mega-scale index maintains node buckets incrementally (resampling
-// only cell-boundary crossers). Its contract is bit-identical adjacency:
-// over any mobility trace, the exact-filtered neighbor relation must equal
-// the full-rebuild one at every queried instant. Runs under the
-// tsan-determinism preset via this file's filter membership.
-
-/// One world: n random-waypoint nodes on a paper-density square.
-struct IndexWorld {
-  sim::Simulator sim;
-  net::Network network;
-
-  IndexWorld(std::size_t n, bool incremental, double side)
-      : network(sim, make_params(incremental, side), sim::RngStream(99)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      mobility::RandomWaypointParams rwp;
-      rwp.region = {side, side};
-      rwp.max_speed = 1.0;
-      rwp.max_pause = 20.0;
-      network.add_node(std::make_unique<mobility::RandomWaypoint>(
-          rwp, sim::RngStream(1000 + i)));
-    }
-  }
-
-  static net::NetworkParams make_params(bool incremental, double side) {
-    net::NetworkParams p;
-    p.region = {side, side};
-    p.incremental_index = incremental;
-    p.incremental_index_min_nodes = 0;  // force the mode at any size
-    p.max_speed_hint = 1.0;
-    return p;
-  }
-};
-
-void expect_adjacency_identical(std::size_t n, double horizon_s,
-                                double step_s) {
-  // Paper density: ~50 nodes per 100x100 m.
-  const double side = 100.0 * std::sqrt(static_cast<double>(n) / 50.0);
-  IndexWorld inc(n, true, side);
-  IndexWorld full(n, false, side);
-  std::vector<std::vector<net::NodeId>> adj_inc;
-  std::vector<std::vector<net::NodeId>> adj_full;
-  // Irregular instants (prime-ish stride) so cell-crossing deadlines
-  // expire mid-window, not conveniently on query boundaries. Every third
-  // step adds a sub-tolerance probe: within a staleness window buckets
-  // must stay frozen exactly like the full rebuild's (the candidate-order
-  // contract the RNG draw sequence is keyed to), so querying BETWEEN
-  // rebuild instants is the regime that actually exercises equivalence.
-  int step_no = 0;
-  for (double t = step_s; t <= horizon_s;
-       t += (++step_no % 3 == 0) ? 0.07 : step_s * 1.37) {
-    inc.sim.run_until(t);
-    full.sim.run_until(t);
-    inc.network.adjacency_snapshot(&adj_inc);
-    full.network.adjacency_snapshot(&adj_full);
-    ASSERT_EQ(adj_inc.size(), adj_full.size());
-    for (std::size_t i = 0; i < adj_inc.size(); ++i) {
-      ASSERT_EQ(adj_inc[i], adj_full[i])
-          << "node " << i << " at t=" << t << " (n=" << n << ")";
-    }
-  }
-}
-
-TEST(NeighborIndexEquivalence, IncrementalMatchesFullRebuild150) {
-  expect_adjacency_identical(150, 120.0, 0.75);
-}
-
-TEST(NeighborIndexEquivalence, IncrementalMatchesFullRebuild5k) {
-  expect_adjacency_identical(5000, 12.0, 0.5);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -120,6 +122,52 @@ TEST(Metrics, PathLengthOfTriangleAndPath) {
   path.add_edge(1, 2);
   // Distances: (0,1)=1 (0,2)=2 (1,2)=1 -> mean 4/3.
   EXPECT_NEAR(characteristic_path_length(path), 4.0 / 3.0, 1e-12);
+}
+
+/// The all-pairs formula characteristic_path_length used to run: a fresh
+/// bfs_distances() per source and a double sum over every other vertex.
+/// Kept as the oracle the component-local rewrite must match exactly.
+double path_length_oracle(const Graph& g) {
+  double sum = 0.0;
+  std::size_t pairs = 0;
+  for (Vertex v = 0; v < g.order(); ++v) {
+    const std::vector<int> dist = g.bfs_distances(v);
+    for (Vertex w = 0; w < g.order(); ++w) {
+      if (w != v && dist[w] != kUnreachable) {
+        sum += dist[w];
+        ++pairs;
+      }
+    }
+  }
+  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+}
+
+TEST(Metrics, PathLengthMatchesAllPairsOracleExactly) {
+  EXPECT_EQ(characteristic_path_length(Graph(0)), path_length_oracle(Graph(0)));
+  EXPECT_EQ(characteristic_path_length(Graph(1)), 0.0);
+  EXPECT_EQ(characteristic_path_length(Graph(5)), 0.0);  // all isolated
+  // Seeded random graphs from very sparse (many components, isolated
+  // vertices) to well connected; EXPECT_EQ on doubles, not NEAR.
+  p2p::sim::RngStream rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 300));
+    const double mean_degree = rng.uniform(0.2, 6.0);
+    const auto edges = static_cast<std::size_t>(
+        mean_degree * static_cast<double>(n) / 2.0);
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    Graph g(n);
+    for (std::size_t e = 0; e < edges; ++e) {
+      g.add_edge(static_cast<Vertex>(rng.uniform_int(0, last)),
+                 static_cast<Vertex>(rng.uniform_int(0, last)));
+    }
+    std::size_t components = 0;
+    g.components(&components);
+    EXPECT_EQ(characteristic_path_length(g), path_length_oracle(g))
+        << "trial " << trial << ": n=" << n << " edges=" << g.edge_count()
+        << " components=" << components;
+  }
+  const Graph ring = ring_lattice(120, 2);
+  EXPECT_EQ(characteristic_path_length(ring), path_length_oracle(ring));
 }
 
 TEST(Metrics, RingLatticeValues) {

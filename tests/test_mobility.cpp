@@ -1,8 +1,14 @@
 // Mobility models: random waypoint invariants (in-bounds, speed-bounded,
-// actually moves) and the scripted trace model incl. preemption.
+// actually moves), the scripted trace model incl. preemption, and the leg
+// contract every model shares (a cached leg answers exactly what
+// position_at would).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "geo/vec2.hpp"
 #include "mobility/gauss_markov.hpp"
@@ -179,6 +185,119 @@ TEST(TraceModel, LaterStepPreemptsUnfinishedMove) {
   const geo::Vec2 later = model.position_at(9.0);  // 5 s toward (4,10)
   EXPECT_NEAR(later.x, 4.0, 1e-9);
   EXPECT_NEAR(later.y, 5.0, 1e-9);
+}
+
+// ---- Leg identity ---------------------------------------------------------
+//
+// net::Network caches each node's current leg and asks the model again only
+// once the leg has expired. That is sound only if leg_at(t).at(t') equals
+// position_at(t') bit for bit for every t' the leg covers. Each check runs
+// two twin models from the same seed — one read through a cached leg, one
+// through position_at — over a sweep that lands exactly on leg ends, on
+// the last double before them, and at irregular strides in between.
+
+struct LegSweep {
+  int legs = 0;
+  int moving = 0;
+  int stationary = 0;
+  bool span_differs = false;  // some leg had end - start != span
+};
+
+void expect_bit_equal(geo::Vec2 a, geo::Vec2 b, double t) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.x), std::bit_cast<std::uint64_t>(b.x))
+      << "x at t=" << t << ": " << a.x << " vs " << b.x;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.y), std::bit_cast<std::uint64_t>(b.y))
+      << "y at t=" << t << ": " << a.y << " vs " << b.y;
+}
+
+LegSweep sweep_legs(mobility::MobilityModel& via_leg,
+                    mobility::MobilityModel& direct, double horizon,
+                    double stride) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LegSweep out;
+  mobility::Leg leg;  // empty: the first query fetches a real leg
+  double t = 0.0;
+  for (int k = 0; t <= horizon; ++k) {
+    if (t >= leg.end) {
+      leg = via_leg.leg_at(t);
+      ++out.legs;
+      ++(leg.moving ? out.moving : out.stationary);
+      if (leg.end - leg.start != leg.span) out.span_differs = true;
+    }
+    EXPECT_LE(leg.start, t);
+    EXPECT_LT(t, leg.end);
+    expect_bit_equal(leg.at(t), direct.position_at(t), t);
+    switch (k % 3) {
+      case 0:  // the last instant the leg covers (or a stride, if far)
+        t = std::min(t + stride, std::max(t, std::nextafter(leg.end, -kInf)));
+        break;
+      case 1:  // exactly the leg end: the next query crosses into a new leg
+        t = std::min(t + stride, leg.end);
+        break;
+      default:
+        t += stride * 0.37;
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(MobilityLeg, RandomWaypointMatchesPositionAt) {
+  for (const bool pause_first : {true, false}) {
+    RandomWaypointParams params;
+    params.region = {60.0, 40.0};
+    params.max_pause = 5.0;
+    params.pause_first = pause_first;
+    RandomWaypoint a(params, sim::RngStream(21));
+    RandomWaypoint b(params, sim::RngStream(21));
+    const LegSweep s = sweep_legs(a, b, 2000.0, 0.9);
+    EXPECT_GT(s.moving, 10) << "pause_first=" << pause_first;
+    EXPECT_GT(s.stationary, 10) << "pause_first=" << pause_first;
+  }
+}
+
+TEST(MobilityLeg, RandomDirectionMatchesPositionAt) {
+  mobility::RandomDirectionParams params;
+  params.region = {50.0, 30.0};
+  params.max_pause = 3.0;
+  mobility::RandomDirection a(params, sim::RngStream(8));
+  mobility::RandomDirection b(params, sim::RngStream(8));
+  const LegSweep s = sweep_legs(a, b, 2000.0, 0.7);
+  EXPECT_GT(s.moving, 10);
+  EXPECT_GT(s.stationary, 10);
+}
+
+TEST(MobilityLeg, GaussMarkovMatchesPositionAtWithInexactSteps) {
+  // step = 0.1 is not a binary fraction: accumulated segment starts make
+  // (start + step) - start differ from step, which is why a Leg carries
+  // its own span instead of recomputing end - start.
+  mobility::GaussMarkovParams params;
+  params.step = 0.1;
+  mobility::GaussMarkov a(params, sim::RngStream(4));
+  mobility::GaussMarkov b(params, sim::RngStream(4));
+  const LegSweep s = sweep_legs(a, b, 300.0, 0.03);
+  EXPECT_GT(s.moving, 1000);
+  EXPECT_TRUE(s.span_differs);
+}
+
+TEST(MobilityLeg, StaticLegNeverExpires) {
+  StaticModel a({3.0, 4.0});
+  StaticModel b({3.0, 4.0});
+  const LegSweep s = sweep_legs(a, b, 100.0, 1.3);
+  EXPECT_EQ(s.legs, 1);
+  EXPECT_EQ(a.leg_at(5.0).end, std::numeric_limits<double>::infinity());
+}
+
+TEST(MobilityLeg, TraceLegCoversOneInstant) {
+  const std::vector<TraceStep> steps = {
+      {2.0, {10.0, 0.0}, 1.0}, {6.0, {4.0, 10.0}, 2.0}, {9.0, {0.0, 0.0}, 0.0}};
+  TraceModel a({0.0, 0.0}, steps);
+  TraceModel b({0.0, 0.0}, steps);
+  sweep_legs(a, b, 20.0, 0.4);
+  // Repeated queries at one instant reuse the leg; the next double does not.
+  const mobility::Leg leg = a.leg_at(7.0);
+  EXPECT_EQ(leg.start, 7.0);
+  EXPECT_EQ(leg.end, std::nextafter(7.0, 8.0));
 }
 
 TEST(TraceModel, ParseValidInput) {

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "mobility/gauss_markov.hpp"
 #include "mobility/model.hpp"
+#include "mobility/random_direction.hpp"
+#include "mobility/random_waypoint.hpp"
 #include "mobility/trace.hpp"
 #include "net/mac.hpp"
 #include "net/neighbor_index.hpp"
@@ -520,6 +525,72 @@ TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
   EXPECT_EQ(f.net->adjacency_builds(), builds0 + 1);
 }
 
+TEST(Network, PositionOfMatchesTwinModelsBitForBit) {
+  // position_of answers from the per-node leg table and asks the model
+  // only when a leg expires. At random non-decreasing instants (a quarter
+  // of them repeats of the previous one), interleaved with index rebuilds
+  // that read the same table, every answer must equal what a twin model
+  // queried directly returns — for every mobility model kind.
+  sim::Simulator sim;
+  NetworkParams params;
+  params.region = {60.0, 60.0};
+  Network net(sim, params, sim::RngStream(1));
+  std::vector<std::unique_ptr<mobility::MobilityModel>> twins;
+  const auto add = [&](const std::function<
+                       std::unique_ptr<mobility::MobilityModel>()>& make) {
+    net.add_node(make());
+    twins.push_back(make());
+  };
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    add([seed] {
+      mobility::RandomWaypointParams p;
+      p.region = {60.0, 60.0};
+      p.max_pause = 4.0;
+      p.pause_first = seed % 2 == 0;
+      return std::make_unique<mobility::RandomWaypoint>(
+          p, sim::RngStream(100 + seed));
+    });
+  }
+  add([] {
+    mobility::RandomDirectionParams p;
+    p.region = {60.0, 60.0};
+    p.max_pause = 2.0;
+    return std::make_unique<mobility::RandomDirection>(p, sim::RngStream(7));
+  });
+  add([] {
+    mobility::GaussMarkovParams p;
+    p.region = {60.0, 60.0};
+    p.step = 0.1;
+    return std::make_unique<mobility::GaussMarkov>(p, sim::RngStream(9));
+  });
+  add([] { return std::make_unique<mobility::StaticModel>(geo::Vec2{5, 6}); });
+  add([] {
+    return std::make_unique<mobility::TraceModel>(
+        geo::Vec2{1.0, 1.0},
+        std::vector<mobility::TraceStep>{{3.0, {40.0, 1.0}, 1.5},
+                                         {20.0, {10.0, 50.0}, 0.0}});
+  });
+
+  sim::RngStream rng(77);
+  std::vector<NodeId> scratch;
+  double t = 0.0;
+  for (int k = 0; k < 4000; ++k) {
+    if (rng.chance(0.75)) t += rng.uniform(0.0, 0.6);
+    sim.run_until(t);
+    if (k % 7 == 0) net.neighbors_of(0, &scratch);  // may rebuild the index
+    const auto id = static_cast<NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(twins.size()) - 1));
+    const geo::Vec2 got = net.position_of(id);
+    const geo::Vec2 want = twins[id]->position_at(t);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.x),
+              std::bit_cast<std::uint64_t>(want.x))
+        << "node " << id << " at t=" << t;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.y),
+              std::bit_cast<std::uint64_t>(want.y))
+        << "node " << id << " at t=" << t;
+  }
+}
+
 // ---- NeighborIndex steady-state allocation lock-in ------------------------
 
 // Deterministic, exactly-periodic motion field: node positions repeat every
@@ -537,12 +608,9 @@ struct OscillatingField {
                          static_cast<double>(step % kStepsPerCycle) /
                          static_cast<double>(kStepsPerCycle);
     // Amplitude * angular step per refresh stays under the declared
-    // max_speed of 1 m/s, keeping the cell-safe deadlines honest.
+    // max_speed of 1 m/s.
     return {centers[id].x + 3.0 * std::sin(angle + phase),
             centers[id].y + 3.0 * std::cos(angle + 1.3 * phase)};
-  }
-  static geo::Vec2 sample(void* ctx, NodeId id) {
-    return static_cast<const OscillatingField*>(ctx)->at(id);
   }
 };
 
@@ -557,7 +625,6 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
         {rng.uniform(5.0, 95.0), rng.uniform(5.0, 95.0)});
   }
 
-  net::NeighborIndex incremental(region, 10.0, 0.25, 1.0);
   net::NeighborIndex full(region, 10.0, 0.25, 1.0);
   std::vector<geo::Vec2> positions(kNodes);
   const double dt = 0.4;  // > tolerance, so every step really refreshes
@@ -566,8 +633,6 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
     for (int k = 0; k < steps; ++k) {
       ++field.step;
       const double now = dt * static_cast<double>(field.step);
-      incremental.refresh_incremental(now, kNodes, &OscillatingField::sample,
-                                      &field);
       for (std::size_t i = 0; i < kNodes; ++i) {
         positions[i] = field.at(static_cast<NodeId>(i));
       }
@@ -575,22 +640,16 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
     }
   };
 
-  // Warm-up: two full motion cycles grow every bucket (and the heap/due
-  // scratch) to the high-water mark the workload can ever need.
+  // Warm-up: two full motion cycles grow every bucket to the high-water
+  // mark the workload can ever need.
   advance(2 * OscillatingField::kStepsPerCycle);
-  const std::uint64_t incremental_allocs = incremental.alloc_events();
   const std::uint64_t full_allocs = full.alloc_events();
-  const std::uint64_t resampled_after_warmup = incremental.nodes_resampled();
 
   // Steady state: two more cycles of identical motion. Any further
   // allocation is a regression in the hoisting (clear() losing capacity,
   // a scratch buffer rebuilt per refresh, ...).
   advance(2 * OscillatingField::kStepsPerCycle);
-  EXPECT_EQ(incremental.alloc_events(), incremental_allocs);
   EXPECT_EQ(full.alloc_events(), full_allocs);
-  // And the incremental mode kept doing real work the whole time: nodes
-  // crossed cells and were resampled, without triggering an allocation.
-  EXPECT_GT(incremental.nodes_resampled(), resampled_after_warmup);
 }
 
 }  // namespace

@@ -359,6 +359,32 @@ TEST(Cache, KeyChangesWithParameters) {
   EXPECT_EQ(scenario::cache_key(a, 5), scenario::cache_key(a, 5));
 }
 
+TEST(Cache, ShardedIndexRevisionCoversOnlyLargeShardedWorlds) {
+  // Sharded worlds of >= 8192 nodes changed output when the incremental
+  // index mode went away; their keys carry a revision, every other
+  // scenario keeps its key.
+  const std::string tag = "sharded_index_rev";
+  Parameters seq = tiny_scenario(core::AlgorithmKind::kRegular);
+  seq.num_nodes = 10000;
+  EXPECT_EQ(scenario::canonical_parameters(seq, 3).find(tag),
+            std::string::npos);
+
+  Parameters small_sharded = tiny_scenario(core::AlgorithmKind::kRegular);
+  small_sharded.num_nodes = 5000;
+  small_sharded.sim_shards = 16;
+  EXPECT_EQ(scenario::canonical_parameters(small_sharded, 3).find(tag),
+            std::string::npos);
+
+  Parameters big_sharded = small_sharded;
+  big_sharded.num_nodes = 8192;
+  const std::string canon = scenario::canonical_parameters(big_sharded, 3);
+  EXPECT_NE(canon.find(tag), std::string::npos);
+  Parameters auto_sharded = seq;  // sim_shards 0 resolves to 64 here
+  auto_sharded.sim_threads = 4;
+  EXPECT_NE(scenario::canonical_parameters(auto_sharded, 3).find(tag),
+            std::string::npos);
+}
+
 TEST(Experiment, BenchSeedCountReadsEnvironment) {
   ::setenv("P2P_BENCH_SEEDS", "7", 1);
   EXPECT_EQ(scenario::bench_seed_count(), 7U);

@@ -7,7 +7,9 @@
 // results with the batch path, exactly-once cache fill under duplicate
 // concurrent requests, structured errors for malformed/oversized/
 // truncated input, and crash isolation (an injected worker crash answers
-// one seed with an error and leaves the daemon serving).
+// one seed with an error and leaves the daemon serving). The line-limit
+// boundary cases drive the same read loop (serve::run_session) in-process
+// over a socketpair, with a limit small enough to hit exactly.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -29,6 +31,9 @@
 #include "scenario/experiment.hpp"
 #include "scenario/parameters.hpp"
 #include "scenario/telemetry.hpp"
+#include "serve/metrics.hpp"
+#include "serve/scheduler.hpp"
+#include "serve/session.hpp"
 
 namespace {
 
@@ -45,6 +50,40 @@ scenario::Parameters tiny_params(std::uint64_t seed) {
   p.overlay_sample_interval_s = 50.0;
   p.seed = seed;
   return p;
+}
+
+bool send_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Read exactly `count` newline-terminated lines (without newlines).
+std::vector<std::string> read_lines(int fd, std::size_t count) {
+  std::vector<std::string> lines;
+  std::string buffer;
+  char chunk[4096];
+  while (lines.size() < count) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF or timeout — return what we have
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0, nl;
+    while (lines.size() < count &&
+           (nl = buffer.find('\n', start)) != std::string::npos) {
+      lines.push_back(buffer.substr(start, nl - start));
+      start = nl + 1;
+    }
+    buffer.erase(0, start);
+  }
+  return lines;
 }
 
 class DaemonTest : public ::testing::Test {
@@ -102,40 +141,6 @@ class DaemonTest : public ::testing::Test {
       ::usleep(50 * 1000);
     }
     return -1;
-  }
-
-  static bool send_all(int fd, const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Read exactly `count` newline-terminated lines (without newlines).
-  static std::vector<std::string> read_lines(int fd, std::size_t count) {
-    std::vector<std::string> lines;
-    std::string buffer;
-    char chunk[4096];
-    while (lines.size() < count) {
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;  // EOF or timeout — return what we have
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t start = 0, nl;
-      while (lines.size() < count &&
-             (nl = buffer.find('\n', start)) != std::string::npos) {
-        lines.push_back(buffer.substr(start, nl - start));
-        start = nl + 1;
-      }
-      buffer.erase(0, start);
-    }
-    return lines;
   }
 
   /// One request on a fresh connection; expect `expect` response lines.
@@ -286,6 +291,56 @@ TEST_F(DaemonTest, OversizedAndTruncatedRequestsDoNotKillTheDaemon) {
   const auto stats = request("STATS", 1);
   ASSERT_EQ(stats.size(), 1U);
   EXPECT_NE(stats[0].find("\"type\":\"stats\""), std::string::npos);
+}
+
+TEST(SessionLineLimit, BoundaryLinesAreAnsweredByLength) {
+  // max_line counts the newline. "STATS" padded with trailing blanks is a
+  // valid request at any length, so a reply tells parsed (stats) from
+  // refused (too_large) without running a simulation.
+  serve::Metrics metrics;
+  serve::Scheduler scheduler(1, 4, &metrics);
+  serve::SessionLimits limits;
+  limits.max_line = 64;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  timeval tv{60, 0};
+  ::setsockopt(fds[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  std::thread server(
+      [&] { serve::run_session(fds[1], &scheduler, &metrics, limits); });
+
+  // One request, one reply line ("" when none came). No ASSERTs until
+  // the session thread is joined below.
+  const auto exchange = [&](const std::string& data) {
+    if (!send_all(fds[0], data)) return std::string();
+    const auto lines = read_lines(fds[0], 1);
+    return lines.empty() ? std::string() : lines[0];
+  };
+  const auto padded = [](std::size_t bytes_with_newline) {
+    std::string line = "STATS";
+    line.resize(bytes_with_newline - 1, ' ');
+    return line + "\n";
+  };
+  const std::string stats = "\"type\":\"stats\"";
+  const std::string too_large = "\"code\":\"too_large\"";
+  // Exactly the limit: parsed.
+  std::string reply = exchange(padded(64));
+  EXPECT_NE(reply.find(stats), std::string::npos) << reply;
+  // One byte over, complete in a single write: refused.
+  reply = exchange(padded(65));
+  EXPECT_NE(reply.find(too_large), std::string::npos) << reply;
+  // Far over the limit, split across writes: refused once, tail drained.
+  EXPECT_TRUE(send_all(fds[0], std::string(100, 'x')));
+  reply = exchange(std::string(100, 'x') + "\n");
+  EXPECT_NE(reply.find(too_large), std::string::npos) << reply;
+  // The connection keeps answering.
+  reply = exchange("STATS\n");
+  EXPECT_NE(reply.find(stats), std::string::npos) << reply;
+
+  ::shutdown(fds[0], SHUT_WR);  // EOF ends run_session
+  server.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  scheduler.stop();
 }
 
 TEST_F(DaemonTest, WorkerCrashAnswersSeedAndDaemonKeepsServing) {
