@@ -51,7 +51,6 @@ struct AodvWorld {
     // same destination, so the table churns instead of saturating.
     ap.active_route_timeout = 3.0;
     ap.my_route_timeout = 6.0;
-    ap.population_hint = n;
     sim::RngManager rngs(23);
     for (std::size_t i = 0; i < n; ++i) {
       mobility::RandomWaypointParams rwp;

@@ -110,21 +110,19 @@ Record bench_timer_churn(std::size_t ops, int repeat) {
   return rec;
 }
 
-/// Queue-depth sweep (PR 10): the steady-state loop at a pinned pending
-/// depth, once per backend. This is the crossover experiment behind
-/// Parameters::ladder_queue_min_nodes — the heap's per-op cost grows as
-/// O(log depth) through cold cache lines while the ladder stays flat
+/// Queue-depth sweep: the steady-state loop at a pinned pending depth.
+/// The ladder's per-op cost should stay flat as the depth grows
 /// (methodology: docs/performance.md). peak_queue pins the live
 /// high-water mark (== depth) as a guarded fixed-seed counter.
-Record bench_steady_depth(const char* name, sim::QueueBackend backend,
-                          std::size_t depth, std::size_t ops, int repeat) {
+Record bench_steady_depth(const char* name, std::size_t depth,
+                          std::size_t ops, int repeat) {
   Record rec;
   rec.bench = name;
   rec.ops = ops;
   rec.wall_s = 1e100;
   for (int r = 0; r < repeat; ++r) {
     sim::RngStream rng(19);
-    sim::EventQueue queue(backend);
+    sim::EventQueue queue;
     for (std::size_t i = 0; i < depth; ++i) {
       queue.push(rng.uniform(0.0, 1.0), [] {});
     }
@@ -159,9 +157,8 @@ struct StormWorld {
       rwp.region = params.region;
       auto id = net->add_node(std::make_unique<mobility::RandomWaypoint>(
           rwp, rngs.stream("m", i)));
-      routing::AodvParams ap;
-      ap.population_hint = n;
-      aodv.push_back(std::make_unique<routing::AodvAgent>(sim, *net, id, ap));
+      aodv.push_back(std::make_unique<routing::AodvAgent>(
+          sim, *net, id, routing::AodvParams{}));
       flood.push_back(std::make_unique<routing::FloodService>(
           sim, *net, id, aodv.back().get()));
     }
@@ -250,26 +247,21 @@ int main(int argc, char** argv) {
     emit(bench_push_pop(n, opt.repeat), opt);
     emit(bench_steady_state(1024, ops, opt.repeat), opt);
     emit(bench_timer_churn(ops, opt.repeat), opt);
-    // Depth sweep, both backends. Full depths even in smoke (the setup
-    // fill is cheap); only the measured op count shrinks.
+    // Depth sweep. Full depths even in smoke (the setup fill is cheap);
+    // only the measured op count shrinks. The names keep their ".ladder"
+    // suffix so the record history stays one series per depth.
     const std::size_t sweep_ops = opt.smoke ? 20000 : 2000000;
     struct DepthCase {
-      const char* heap_name;
-      const char* ladder_name;
+      const char* name;
       std::size_t depth;
     };
     constexpr DepthCase kDepths[] = {
-        {"kernel.depth_1k.heap", "kernel.depth_1k.ladder", 1000},
-        {"kernel.depth_100k.heap", "kernel.depth_100k.ladder", 100000},
-        {"kernel.depth_500k.heap", "kernel.depth_500k.ladder", 500000},
+        {"kernel.depth_1k.ladder", 1000},
+        {"kernel.depth_100k.ladder", 100000},
+        {"kernel.depth_500k.ladder", 500000},
     };
     for (const DepthCase& c : kDepths) {
-      emit(bench_steady_depth(c.heap_name, sim::QueueBackend::kHeap, c.depth,
-                              sweep_ops, opt.repeat),
-           opt);
-      emit(bench_steady_depth(c.ladder_name, sim::QueueBackend::kLadder,
-                              c.depth, sweep_ops, opt.repeat),
-           opt);
+      emit(bench_steady_depth(c.name, c.depth, sweep_ops, opt.repeat), opt);
     }
   }
   if (hotpath) {

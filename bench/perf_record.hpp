@@ -41,14 +41,6 @@ struct Options {
   // (scenario::Parameters::effective_sim_shards).
   std::size_t sim_threads = 1;
   std::size_t sim_shards = 0;
-  // Event-queue backend gate override for scenario-level benches
-  // (scenario::Parameters::ladder_queue_min_nodes). Unset = keep the
-  // scenario default; 0 forces the ladder everywhere; a huge value
-  // forces the heap. Both backends pop the identical (time, seq) order,
-  // so A/B runs at different --ladder-min values must report the same
-  // fixed-seed counters — only wall_s moves.
-  bool ladder_min_set = false;
-  std::size_t ladder_min = 0;
 };
 
 /// Parse the common flags. Exits with a message on malformed input or,
@@ -81,10 +73,6 @@ inline Options parse_options(int argc, char** argv, bool allow_suite) {
       if (opt.sim_threads == 0) opt.sim_threads = 1;
     } else if (arg == "--sim-shards") {
       opt.sim_shards = static_cast<std::size_t>(
-          std::strtoull(value().c_str(), nullptr, 10));
-    } else if (arg == "--ladder-min") {
-      opt.ladder_min_set = true;
-      opt.ladder_min = static_cast<std::size_t>(
           std::strtoull(value().c_str(), nullptr, 10));
     } else {
       std::cerr << "unknown argument " << arg << "\n";

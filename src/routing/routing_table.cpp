@@ -4,45 +4,8 @@
 
 namespace p2p::routing {
 
-Route* RoutingTable::lookup(NodeId dst) noexcept {
-  if (use_dense_) {
-    return dense_present(dst) ? &slots_[dst] : nullptr;
-  }
-  return entries_.find(dst);
-}
-
-const Route* RoutingTable::lookup(NodeId dst) const noexcept {
-  if (use_dense_) {
-    return dense_present(dst) ? &slots_[dst] : nullptr;
-  }
-  return entries_.find(dst);
-}
-
-Route& RoutingTable::claim(NodeId dst) {
-  if (!use_dense_) return entries_.get_or_insert(dst);
-  const auto need = static_cast<std::size_t>(dst) + 1;
-  if (need > slots_.size()) {
-    // Geometric growth keeps amortized claim cost O(1) even when ids
-    // arrive in ascending order (the common case: Network assigns them
-    // densely in call order).
-    std::size_t target = slots_.empty() ? 16 : slots_.size();
-    while (target < need) target *= 2;
-    slots_.resize(target);
-    occupied_.resize((target + 63) / 64, 0);
-  }
-  std::uint64_t& word = occupied_[dst >> 6];
-  const std::uint64_t bit = std::uint64_t{1} << (dst & 63);
-  Route& r = slots_[dst];
-  if ((word & bit) == 0) {
-    word |= bit;
-    ++dense_count_;
-    r = Route{};  // pristine slot: no stale precursors or expiry carryover
-  }
-  return r;
-}
-
 Route* RoutingTable::find_active(NodeId dst, sim::SimTime now) {
-  Route* r = lookup(dst);
+  Route* r = entries_.find(dst);
   if (r == nullptr || !r->valid) return nullptr;
   if (r->expires <= now) {
     r->valid = false;  // lifetime elapsed; sequence number is retained
@@ -53,7 +16,7 @@ Route* RoutingTable::find_active(NodeId dst, sim::SimTime now) {
 
 bool RoutingTable::is_better(NodeId dst, std::uint32_t seq, bool seq_valid,
                              std::uint8_t hops, sim::SimTime now) const {
-  const Route* r = lookup(dst);
+  const Route* r = entries_.find(dst);
   if (r == nullptr) return true;
   if (!r->valid || r->expires <= now) return true;
   if (!r->seq_valid) return true;
@@ -67,7 +30,7 @@ bool RoutingTable::is_better(NodeId dst, std::uint32_t seq, bool seq_valid,
 Route& RoutingTable::update(NodeId dst, NodeId next_hop, std::uint8_t hops,
                             std::uint32_t seq, bool seq_valid,
                             sim::SimTime expires) {
-  Route& r = claim(dst);
+  Route& r = entries_.get_or_insert(dst);
   r.next_hop = next_hop;
   r.hop_count = hops;
   r.dst_seq = seq;
@@ -78,13 +41,13 @@ Route& RoutingTable::update(NodeId dst, NodeId next_hop, std::uint8_t hops,
 }
 
 void RoutingTable::refresh(NodeId dst, sim::SimTime expires) {
-  Route* r = lookup(dst);
+  Route* r = entries_.find(dst);
   if (r == nullptr || !r->valid) return;
   if (expires > r->expires) r->expires = expires;
 }
 
 bool RoutingTable::invalidate(NodeId dst) {
-  Route* r = lookup(dst);
+  Route* r = entries_.find(dst);
   if (r == nullptr) return false;
   if (r->valid) {
     r->valid = false;
@@ -95,30 +58,13 @@ bool RoutingTable::invalidate(NodeId dst) {
 }
 
 void RoutingTable::add_precursor(NodeId dst, NodeId precursor) {
-  Route* r = lookup(dst);
+  Route* r = entries_.find(dst);
   if (r != nullptr) r->precursors.insert(precursor);
 }
 
 void RoutingTable::destinations_via(NodeId next_hop, sim::SimTime now,
                                     std::vector<NodeId>* out) const {
   out->clear();
-  if (use_dense_) {
-    // Word-at-a-time bitmap scan: entries come out in ascending
-    // destination order already — the RERR ordering contract.
-    for (std::size_t w = 0; w < occupied_.size(); ++w) {
-      std::uint64_t bits = occupied_[w];
-      while (bits != 0) {
-        const auto b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const auto dst = static_cast<NodeId>(w * 64 + b);
-        const Route& r = slots_[dst];
-        if (r.valid && r.expires > now && r.next_hop == next_hop) {
-          out->push_back(dst);
-        }
-      }
-    }
-    return;
-  }
   entries_.for_each([&](NodeId dst, const Route& r) {
     if (r.valid && r.expires > now && r.next_hop == next_hop) {
       out->push_back(dst);
@@ -136,40 +82,8 @@ std::vector<NodeId> RoutingTable::destinations_via(NodeId next_hop,
   return out;
 }
 
-void RoutingTable::clear() noexcept {
-  if (use_dense_) {
-    // Drop the occupancy bits (lookups fail immediately) and release the
-    // precursor sets so a long-lived crashed node does not pin their heap
-    // nodes; the flat slot storage itself is retained for the node's next
-    // life. claim() resets each slot on reuse.
-    for (std::size_t w = 0; w < occupied_.size(); ++w) {
-      std::uint64_t bits = occupied_[w];
-      while (bits != 0) {
-        const auto b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        slots_[w * 64 + b].precursors.clear();
-      }
-      occupied_[w] = 0;
-    }
-    dense_count_ = 0;
-    return;
-  }
-  entries_.clear();
-}
-
 RoutingTable::ConstView::ConstView(const RoutingTable* table) : table_(table) {
   keys_.reserve(table->size());
-  if (table->use_dense_) {
-    for (std::size_t w = 0; w < table->occupied_.size(); ++w) {
-      std::uint64_t bits = table->occupied_[w];
-      while (bits != 0) {
-        const auto b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        keys_.push_back(static_cast<NodeId>(w * 64 + b));
-      }
-    }
-    return;  // bitmap scan is already ascending
-  }
   table->entries_.for_each(
       [&](NodeId dst, const Route&) { keys_.push_back(dst); });
   std::sort(keys_.begin(), keys_.end());

@@ -248,14 +248,6 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
       put(os, "sharded_index_rev", std::uint64_t{2});
     }
   }
-  // The event-queue backend gate never changes results (both backends pop
-  // in the identical (time, seq) order), but a pinned non-default value is
-  // still recorded so a sweep that overrides it gets distinct manifests.
-  // Non-default-only: existing cache entries keep their keys.
-  if (p.ladder_queue_min_nodes != Parameters{}.ladder_queue_min_nodes) {
-    put(os, "ladder_queue_min_nodes",
-        static_cast<std::uint64_t>(p.ladder_queue_min_nodes));
-  }
   put(os, "num_seeds", static_cast<std::uint64_t>(num_seeds));
   return os.str();
 }
@@ -386,9 +378,18 @@ std::string seed_cache_path(const Parameters& params) {
   return cache_directory() + "/" + cache_key(params, 1) + ".seed.txt";
 }
 
+namespace {
+// Format tag of a served seed line. Bump it whenever a code change alters
+// the served bytes without altering the key, so older entries read as a
+// miss instead of being replayed. seed-v2: worlds below 8192 nodes now
+// run the ladder event queue and worlds of up to 2048 nodes the hashed
+// routing table, which moves their queue and routing-memory counters.
+constexpr const char* kSeedTag = "seed-v2";
+}  // namespace
+
 bool load_cached_seed_line(const Parameters& params, std::string* line) {
   std::string payload;
-  if (!read_checksummed(seed_cache_path(params), "seed-v1", &payload)) {
+  if (!read_checksummed(seed_cache_path(params), kSeedTag, &payload)) {
     return false;
   }
   // Payload is the line plus the trailing newline the writer appended.
@@ -401,7 +402,7 @@ bool load_cached_seed_line(const Parameters& params, std::string* line) {
 
 void store_cached_seed_line(const Parameters& params,
                             const std::string& line) {
-  write_checksummed(seed_cache_path(params), "seed-v1", line + "\n");
+  write_checksummed(seed_cache_path(params), kSeedTag, line + "\n");
 }
 
 ExperimentResult run_experiment_cached(const Parameters& params,

@@ -152,7 +152,6 @@ std::string Parameters::apply(const util::Config& config) {
 
   get_sz("sim_threads", &sim_threads);
   get_sz("sim_shards", &sim_shards);
-  get_sz("ladder_queue_min_nodes", &ladder_queue_min_nodes);
 
   if (!err.empty()) return err;
   if (!pending.empty()) return "unknown key: " + *pending.begin();
@@ -206,6 +205,12 @@ std::string Parameters::apply(const util::Config& config) {
   if (sim_threads == 0) return "sim_threads must be > 0";
   if (fault.crash_run_enabled() && effective_sim_shards() > 1) {
     return "crash_run_at requires sequential execution (sim_shards <= 1)";
+  }
+  // The invariant checker is a per-frame network observer, which
+  // concurrent shard lanes cannot share (see Network::set_observer).
+  if (invariant_check_interval_s > 0.0 && effective_sim_shards() > 1) {
+    return "invariant_check_interval requires sequential execution "
+           "(sim_shards <= 1)";
   }
   return {};
 }

@@ -100,19 +100,6 @@ struct Parameters {
   // population-scaled count (64 at >= 8192 nodes, else 8) independent of
   // sim_threads so thread sweeps compare the same model.
   std::size_t sim_shards = 0;
-  // Event-queue backend gate (cf. RoutingTable's population_hint):
-  // populations at or above this threshold use the O(1)-amortized ladder
-  // queue, smaller ones keep the 4-ary heap, whose constants win below the
-  // crossover (methodology: docs/performance.md). Both backends pop in the identical strict
-  // (time, seq) order, so results are bit-identical either way — this is
-  // a pure execution knob. 0 forces the ladder everywhere; a huge value
-  // forces the heap.
-  std::size_t ladder_queue_min_nodes = 8192;
-
-  /// Whether this scenario's population selects the ladder event queue.
-  bool use_ladder_queue() const noexcept {
-    return num_nodes >= ladder_queue_min_nodes;
-  }
 
   /// The shard count actually used for this scenario (resolves the 0-auto
   /// rule above). 1 means sequential execution.

@@ -30,24 +30,16 @@ void SimulationRun::build() {
   P2P_ASSERT_MSG(!built_, "build() called twice");
   built_ = true;
 
-  // Backend choice must precede the first scheduled event (joins, mobility
-  // samplers and routing agents below all push). Every shard Simulator
-  // gets the same choice so thread sweeps compare identical executions.
-  const sim::QueueBackend queue_backend = params_.use_ladder_queue()
-                                              ? sim::QueueBackend::kLadder
-                                              : sim::QueueBackend::kHeap;
-  sim_.set_queue_backend(queue_backend);
-
   num_shards_ = params_.effective_sim_shards();
   if (num_shards_ > 1) {
     // The invariant checker is a per-frame NetObserver — incompatible with
-    // concurrent lanes (see Network::set_observer).
+    // concurrent lanes (see Network::set_observer). Parameters::apply
+    // rejects the combination; this guards direct construction.
     P2P_ASSERT_MSG(params_.invariant_check_interval_s == 0.0,
                    "invariant checker requires sim_shards == 1");
     shard_sims_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
       shard_sims_.push_back(std::make_unique<sim::Simulator>());
-      shard_sims_.back()->set_queue_backend(queue_backend);
     }
   }
 
@@ -147,10 +139,8 @@ void SimulationRun::build() {
       routing_.push_back(std::make_unique<routing::DsrAgent>(
           node_sim, *network_, id, params_.dsr));
     } else {
-      auto ap = params_.aodv;
-      ap.population_hint = params_.num_nodes;  // routing-table backend pick
-      routing_.push_back(
-          std::make_unique<routing::AodvAgent>(node_sim, *network_, id, ap));
+      routing_.push_back(std::make_unique<routing::AodvAgent>(
+          node_sim, *network_, id, params_.aodv));
     }
     flood_.push_back(std::make_unique<routing::FloodService>(
         node_sim, *network_, id, routing_.back().get()));

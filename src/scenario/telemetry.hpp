@@ -29,8 +29,7 @@ struct SeedTelemetry {
   // the run scheduled anything, so the block is emitted to the manifest
   // only when queue_pushes is non-zero and pre-queue-telemetry manifests
   // stay byte-stable). Fixed-seed deterministic and thread-count
-  // invariant; the ladder/compaction counters depend on the backend the
-  // run selected (scenario::Parameters::ladder_queue_min_nodes).
+  // invariant.
   std::uint64_t queue_pushes = 0;
   std::uint64_t queue_pops = 0;
   std::uint64_t queue_tombstones_purged = 0;

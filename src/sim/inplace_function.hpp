@@ -14,7 +14,7 @@
 // net/network.cpp, is 48 bytes); if a new closure trips the static_assert,
 // shrink the capture (capture indices instead of objects, pool big state in
 // the owner) before considering a budget bump — the buffer size is paid by
-// every entry in the event heap. Beware in particular sim::RngStream
+// every slot of the event queue. Beware in particular sim::RngStream
 // (mt19937_64, ~2.5 KB): pool it in the owning object and capture `this`.
 #pragma once
 

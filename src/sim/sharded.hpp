@@ -1,7 +1,7 @@
 // Conservative (lookahead) parallel discrete-event execution.
 //
 // One simulation run is split into S spatial shards, each owning a full
-// Simulator (event heap + clock), plus one *global* Simulator for events
+// Simulator (event queue + clock), plus one *global* Simulator for events
 // that must observe a quiesced world (fault injection, overlay sampling,
 // monitors). Shards advance together through windows [m, m + L): m is the
 // earliest pending shard event, L the lookahead — the minimum latency of
@@ -28,12 +28,10 @@
 // executed, none at or after g has). Ties (g == m) run the global event
 // first — one fixed rule, same on every thread count.
 //
-// Queue backends: every Simulator here (global and shards) runs whichever
-// pending-set container the scenario selected (sim::QueueBackend — the
-// run layer applies one choice uniformly before anything is scheduled).
-// Nothing above depends on the container: both backends pop the identical
-// strict (time, seq) order, so the window schedule, barrier exchanges and
-// RNG draw sequences are byte-for-byte the same on heap and ladder.
+// Every Simulator here (global and shards) runs the same ladder event
+// queue (sim/event_queue.hpp). Nothing above depends on the container
+// beyond its strict (time, seq) pop order, which fixes the window
+// schedule, the barrier exchanges and the RNG draw sequences.
 #pragma once
 
 #include <atomic>

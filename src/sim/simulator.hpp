@@ -19,16 +19,6 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Choose the pending-set container (see QueueBackend). Must be called
-  /// before anything is scheduled; every shard Simulator of a sharded run
-  /// gets the same choice so thread sweeps compare identical executions
-  /// (the pop order is bit-identical either way — this only moves the
-  /// constant-factor/asymptotic tradeoff).
-  void set_queue_backend(QueueBackend backend) {
-    queue_.set_backend(backend);
-  }
-  QueueBackend queue_backend() const noexcept { return queue_.backend(); }
-
   SimTime now() const noexcept { return now_; }
 
   /// Schedule at an absolute time. Times in the past are clamped to now()
@@ -57,7 +47,7 @@ class Simulator {
   std::uint64_t run_window(SimTime end);
 
   /// Earliest pending event time, or kTimeNever when the queue is empty.
-  /// (Non-const: purges cancelled tombstones sitting at the heap top.)
+  /// (Non-const: purges cancelled tombstones sitting at the queue front.)
   SimTime next_event_time() noexcept { return queue_.next_time(); }
 
   /// Run until the queue drains.

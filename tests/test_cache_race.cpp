@@ -19,6 +19,7 @@
 
 #include "scenario/cache.hpp"
 #include "scenario/parameters.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -126,7 +127,7 @@ TEST_F(CacheRaceTest, TornOrCorruptFilesReadAsMiss) {
     bytes.assign(std::istreambuf_iterator<char>(f), {});
   }
   ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v1 ", 0), 0U)
+  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v2 ", 0), 0U)
       << "entry header changed — bump the version instead";
 
   const auto overwrite = [&](const std::string& content) {
@@ -156,6 +157,33 @@ TEST_F(CacheRaceTest, TornOrCorruptFilesReadAsMiss) {
   scenario::store_cached_seed_line(params, line);
   ASSERT_TRUE(scenario::load_cached_seed_line(params, &stored));
   EXPECT_EQ(stored, line);
+}
+
+// Served lines changed bytes (queue and routing-memory counters) without a
+// key change, so an intact entry of the previous format must read as a
+// miss, never be replayed as this code's answer.
+TEST_F(CacheRaceTest, SeedV1EntriesReadAsMiss) {
+  const auto params = params_for(9);
+  const std::string path = scenario::seed_cache_path(params);
+  const std::string payload = "{\"type\":\"seed\",\"seed\":9}\n";
+  std::filesystem::create_directories(dir_);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << "p2pmanet-cache seed-v1 " << std::hex << sim::fnv1a(payload) << '\n'
+      << payload;
+  }
+  std::string stored;
+  EXPECT_FALSE(scenario::load_cached_seed_line(params, &stored));
+
+  // The same payload under the current tag is a hit, so only the tag made
+  // the difference; the fresh store overwrites the old entry.
+  scenario::store_cached_seed_line(params, "{\"type\":\"seed\",\"seed\":9}");
+  ASSERT_TRUE(scenario::load_cached_seed_line(params, &stored));
+  EXPECT_EQ(stored + "\n", payload);
+  std::ifstream f(path, std::ios::binary);
+  std::string header;
+  std::getline(f, header);
+  EXPECT_EQ(header.rfind("p2pmanet-cache seed-v2 ", 0), 0U) << header;
 }
 
 TEST_F(CacheRaceTest, DistinctSeedsGetDistinctEntries) {

@@ -215,36 +215,32 @@ TEST(Determinism, PayloadPoolStatsAreThreadCountInvariant) {
 
 // Event-queue operation counters are part of the fixed-seed contract too:
 // every push, pop, tombstone purge and compaction a run performs is
-// model-driven, so 1 worker or 3 must report the same numbers per seed —
-// on either queue backend (PR 10).
+// model-driven, so 1 worker or 3 must report the same numbers per seed.
 TEST(Determinism, QueueStatsAreThreadCountInvariant) {
-  for (const std::size_t gate : {std::size_t(-1), std::size_t(0)}) {
-    Parameters params = tiny_scenario(13);
-    params.ladder_queue_min_nodes = gate;  // heap, then forced ladder
-    scenario::RunTelemetry serial;
-    scenario::run_experiment(params, 3, 1, {}, &serial);
-    scenario::RunTelemetry threaded;
-    scenario::run_experiment(params, 3, 3, {}, &threaded);
-    ASSERT_EQ(serial.per_seed().size(), 3U);
-    ASSERT_EQ(threaded.per_seed().size(), 3U);
-    for (std::size_t i = 0; i < 3; ++i) {
-      const auto& a = serial.per_seed()[i];
-      const auto& b = threaded.per_seed()[i];
-      EXPECT_GT(a.queue_pushes, 0U);
-      EXPECT_GT(a.queue_pops, 0U);
-      EXPECT_GE(a.queue_pushes, a.queue_pops);
-      EXPECT_EQ(a.queue_pushes, b.queue_pushes);
-      EXPECT_EQ(a.queue_pops, b.queue_pops);
-      EXPECT_EQ(a.queue_tombstones_purged, b.queue_tombstones_purged);
-      EXPECT_EQ(a.queue_compactions, b.queue_compactions);
-      EXPECT_EQ(a.queue_ladder_spills, b.queue_ladder_spills);
-      EXPECT_EQ(a.queue_ladder_rebuckets, b.queue_ladder_rebuckets);
-      EXPECT_EQ(a.queue_peak_raw, b.queue_peak_raw);
-      EXPECT_GE(a.queue_peak_raw, a.peak_queue_depth);
-    }
-    // The block reaches the manifest (non-zero-only emission).
-    EXPECT_NE(serial.to_jsonl().find("\"queue_pushes\":"), std::string::npos);
+  const Parameters params = tiny_scenario(13);
+  scenario::RunTelemetry serial;
+  scenario::run_experiment(params, 3, 1, {}, &serial);
+  scenario::RunTelemetry threaded;
+  scenario::run_experiment(params, 3, 3, {}, &threaded);
+  ASSERT_EQ(serial.per_seed().size(), 3U);
+  ASSERT_EQ(threaded.per_seed().size(), 3U);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& a = serial.per_seed()[i];
+    const auto& b = threaded.per_seed()[i];
+    EXPECT_GT(a.queue_pushes, 0U);
+    EXPECT_GT(a.queue_pops, 0U);
+    EXPECT_GE(a.queue_pushes, a.queue_pops);
+    EXPECT_EQ(a.queue_pushes, b.queue_pushes);
+    EXPECT_EQ(a.queue_pops, b.queue_pops);
+    EXPECT_EQ(a.queue_tombstones_purged, b.queue_tombstones_purged);
+    EXPECT_EQ(a.queue_compactions, b.queue_compactions);
+    EXPECT_EQ(a.queue_ladder_spills, b.queue_ladder_spills);
+    EXPECT_EQ(a.queue_ladder_rebuckets, b.queue_ladder_rebuckets);
+    EXPECT_EQ(a.queue_peak_raw, b.queue_peak_raw);
+    EXPECT_GE(a.queue_peak_raw, a.peak_queue_depth);
   }
+  // The block reaches the manifest (non-zero-only emission).
+  EXPECT_NE(serial.to_jsonl().find("\"queue_pushes\":"), std::string::npos);
 }
 
 class CacheDirTest : public ::testing::Test {

@@ -1,24 +1,84 @@
-// EventQueue: ordering, FIFO tie-breaking, cancellation, and a randomized
-// model check against a reference implementation.
+// EventQueue: ordering, FIFO tie-breaking, cancellation, randomized
+// model checks against a sorted reference, and a storage bound.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
+#include <cstdlib>
 #include <map>
-#include <tuple>
+#include <new>
+#include <utility>
 #include <vector>
 
-#include "core/params.hpp"
-#include "scenario/parameters.hpp"
-#include "scenario/run.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+
+// Counting replacement of the global allocation functions for this test
+// binary: g_live_bytes is every byte currently allocated through operator
+// new (as malloc_usable_size reports it, on allocation and release alike;
+// the array forms forward here by default). Only the storage test reads
+// it.
+namespace {
+std::atomic<std::size_t> g_live_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
 using p2p::sim::EventId;
 using p2p::sim::EventQueue;
 using p2p::sim::kTimeNever;
+
+// Test-only oracle: the strict (time, seq) total order the queue must
+// realize, as a sorted map. seq is the push count, so equal-time ties pop
+// in push order (FIFO) — never by id value, since ids are opaque handles.
+class ReferenceQueue {
+ public:
+  void push(double t, EventId id) {
+    const Key key{t, next_seq_++};
+    order_.emplace(key, id);
+    key_of_.emplace(id, key);
+  }
+  bool cancel(EventId id) {
+    const auto it = key_of_.find(id);
+    if (it == key_of_.end()) return false;
+    order_.erase(it->second);
+    key_of_.erase(it);
+    return true;
+  }
+  /// Earliest (time, id). Pre: !empty().
+  std::pair<double, EventId> pop() {
+    const auto it = order_.begin();
+    const std::pair<double, EventId> front{it->first.first, it->second};
+    key_of_.erase(it->second);
+    order_.erase(it);
+    return front;
+  }
+  bool empty() const { return order_.empty(); }
+  std::size_t size() const { return order_.size(); }
+  double next_time() const {
+    return order_.empty() ? kTimeNever : order_.begin()->first.first;
+  }
+
+ private:
+  using Key = std::pair<double, std::uint64_t>;
+  std::map<Key, EventId> order_;
+  std::map<EventId, Key> key_of_;
+  std::uint64_t next_seq_ = 0;
+};
 
 TEST(EventQueue, StartsEmpty) {
   EventQueue queue;
@@ -196,76 +256,55 @@ TEST(EventQueue, PopAfterMassCancelFindsTheSurvivor) {
 }
 
 // Property: under random interleavings of push/cancel/pop, the queue
-// behaves exactly like a sorted reference model — on both backends.
-class EventQueueModelTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, p2p::sim::QueueBackend>> {};
+// behaves exactly like the sorted reference.
+class EventQueueModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueModelTest, MatchesReferenceModel) {
-  p2p::sim::RngStream rng(std::get<0>(GetParam()));
-  EventQueue queue(std::get<1>(GetParam()));
-  // Reference: map from (time, push order) to id, mirroring live events.
-  // Ties at equal time break by push order — the FIFO contract — NOT by id
-  // value (ids are opaque handles and may be recycled internally).
-  std::map<std::pair<double, std::uint64_t>, EventId> model;
-  std::uint64_t push_counter = 0;
-  std::vector<EventId> live_ids;
+  p2p::sim::RngStream rng(GetParam());
+  EventQueue queue;
+  ReferenceQueue model;
+  std::vector<EventId> ids;  // every handle ever returned, live or not
 
   for (int step = 0; step < 2000; ++step) {
     const double roll = rng.uniform01();
     if (roll < 0.55) {
       const double t = rng.uniform(0.0, 100.0);
       const EventId id = queue.push(t, [] {});
-      model.emplace(std::make_pair(t, push_counter++), id);
-      live_ids.push_back(id);
-    } else if (roll < 0.75 && !live_ids.empty()) {
+      model.push(t, id);
+      ids.push_back(id);
+    } else if (roll < 0.75 && !ids.empty()) {
       const auto pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live_ids.size()) - 1));
-      const EventId id = live_ids[pick];
-      const bool was_live =
-          std::any_of(model.begin(), model.end(),
-                      [id](const auto& kv) { return kv.second == id; });
-      EXPECT_EQ(queue.cancel(id), was_live);
-      for (auto it = model.begin(); it != model.end(); ++it) {
-        if (it->second == id) {
-          model.erase(it);
-          break;
-        }
-      }
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+      EXPECT_EQ(queue.cancel(ids[pick]), model.cancel(ids[pick]));
     } else if (!model.empty()) {
       ASSERT_FALSE(queue.empty());
       const auto popped = queue.pop();
-      const auto expect = model.begin();
-      EXPECT_DOUBLE_EQ(popped.time, expect->first.first);
-      EXPECT_EQ(popped.id, expect->second);
-      model.erase(expect);
+      const auto expect = model.pop();
+      EXPECT_DOUBLE_EQ(popped.time, expect.first);
+      EXPECT_EQ(popped.id, expect.second);
     }
     ASSERT_EQ(queue.size(), model.size());
     if (!model.empty()) {
-      EXPECT_DOUBLE_EQ(queue.next_time(), model.begin()->first.first);
+      EXPECT_DOUBLE_EQ(queue.next_time(), model.next_time());
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, EventQueueModelTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 7, 42, 1234),
-                       ::testing::Values(p2p::sim::QueueBackend::kHeap,
-                                         p2p::sim::QueueBackend::kLadder)));
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest,
+                         ::testing::Values(1, 2, 3, 7, 42, 1234));
 
-// --- Ladder backend: differential equivalence with the 4-ary heap. The
-// --- strict (time, seq) total order fixes the pop sequence, so the two
-// --- backends must agree element for element — including FIFO among
-// --- equal-time ties — under tens of thousands of randomized ops.
+// --- Ladder machinery under load: tens of thousands of randomized ops
+// --- deep enough to build rungs, checked element for element against the
+// --- reference — including FIFO among equal-time ties.
 
-TEST(EventQueueLadder, PopSequenceIsIdenticalToHeap) {
+TEST(EventQueueLadder, PopSequenceMatchesReference) {
   // Named stream so the op sequence is pinned independently of any other
   // RNG consumer (docs/determinism.md).
   p2p::sim::RngManager rngs(20260809);
   p2p::sim::RngStream rng = rngs.stream("queue-differential");
-  EventQueue heap(p2p::sim::QueueBackend::kHeap);
-  EventQueue ladder(p2p::sim::QueueBackend::kLadder);
-  std::vector<EventId> heap_ids, ladder_ids;  // parallel live handles
+  EventQueue queue;
+  ReferenceQueue model;
+  std::vector<EventId> live_ids;
 
   std::uint64_t pops = 0, ties = 0;
   double recent_time = 1.0;
@@ -273,91 +312,83 @@ TEST(EventQueueLadder, PopSequenceIsIdenticalToHeap) {
     const double roll = rng.uniform01();
     if (roll < 0.50) {
       // Mostly fresh times; 15% reuse the last pushed time to force
-      // same-instant FIFO ties through both backends.
+      // same-instant FIFO ties through the queue.
       double t = rng.uniform(0.0, 10000.0);
       if (rng.uniform01() < 0.15) {
         t = recent_time;
         ++ties;
       }
       recent_time = t;
-      heap_ids.push_back(heap.push(t, [] {}));
-      ladder_ids.push_back(ladder.push(t, [] {}));
-    } else if (roll < 0.72 && !heap_ids.empty()) {
+      const EventId id = queue.push(t, [] {});
+      model.push(t, id);
+      live_ids.push_back(id);
+    } else if (roll < 0.72 && !live_ids.empty()) {
       const auto pick = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(heap_ids.size()) - 1));
-      EXPECT_EQ(heap.cancel(heap_ids[pick]), ladder.cancel(ladder_ids[pick]));
-      heap_ids.erase(heap_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-      ladder_ids.erase(ladder_ids.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-    } else if (!heap.empty()) {
-      ASSERT_FALSE(ladder.empty());
-      const auto a = heap.pop();
-      const auto b = ladder.pop();
-      ASSERT_EQ(a.time, b.time) << "pop " << pops;
-      ASSERT_EQ(a.id, b.id) << "pop " << pops;
+          0, static_cast<std::int64_t>(live_ids.size()) - 1));
+      EXPECT_EQ(queue.cancel(live_ids[pick]), model.cancel(live_ids[pick]));
+      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (!model.empty()) {
+      ASSERT_FALSE(queue.empty());
+      const auto a = queue.pop();
+      const auto b = model.pop();
+      ASSERT_EQ(a.time, b.first) << "pop " << pops;
+      ASSERT_EQ(a.id, b.second) << "pop " << pops;
       ++pops;
     }
-    ASSERT_EQ(heap.size(), ladder.size());
-    ASSERT_EQ(heap.next_time(), ladder.next_time());
+    ASSERT_EQ(queue.size(), model.size());
+    ASSERT_EQ(queue.next_time(), model.next_time());
   }
   // Drain the remainder in lockstep.
-  while (!heap.empty()) {
-    ASSERT_FALSE(ladder.empty());
-    const auto a = heap.pop();
-    const auto b = ladder.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.id, b.id);
+  while (!model.empty()) {
+    ASSERT_FALSE(queue.empty());
+    const auto a = queue.pop();
+    const auto b = model.pop();
+    ASSERT_EQ(a.time, b.first);
+    ASSERT_EQ(a.id, b.second);
     ++pops;
   }
-  EXPECT_TRUE(ladder.empty());
+  EXPECT_TRUE(queue.empty());
   EXPECT_GT(pops, 10000U);
   EXPECT_GT(ties, 1000U);
   // The workload is deep enough to exercise the rung machinery, not just
   // the bottom tier.
-  EXPECT_GT(ladder.stats().ladder_spills, 0U);
-  EXPECT_EQ(heap.stats().pops, ladder.stats().pops);
+  EXPECT_GT(queue.stats().ladder_spills, 0U);
+  EXPECT_EQ(queue.stats().pops, pops);
 }
 
 // A monotone-time workload shaped like the simulator's (pop one, push a
-// few slightly ahead) keeps the two backends in lockstep as well.
-TEST(EventQueueLadder, SteadyStateSimShapedWorkloadMatchesHeap) {
+// few slightly ahead) matches the reference as well.
+TEST(EventQueueLadder, SteadyStateSimShapedWorkloadMatchesReference) {
   p2p::sim::RngManager rngs(7);
   p2p::sim::RngStream rng = rngs.stream("queue-steady");
-  EventQueue heap(p2p::sim::QueueBackend::kHeap);
-  EventQueue ladder(p2p::sim::QueueBackend::kLadder);
-  for (int i = 0; i < 2000; ++i) {
-    const double t = rng.uniform(0.0, 10.0);
-    heap.push(t, [] {});
-    ladder.push(t, [] {});
-  }
+  EventQueue queue;
+  ReferenceQueue model;
+  const auto push = [&](double t) { model.push(t, queue.push(t, [] {})); };
+  for (int i = 0; i < 2000; ++i) push(rng.uniform(0.0, 10.0));
   for (int i = 0; i < 30000; ++i) {
-    const auto a = heap.pop();
-    const auto b = ladder.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.id, b.id);
+    const auto a = queue.pop();
+    const auto b = model.pop();
+    ASSERT_EQ(a.time, b.first);
+    ASSERT_EQ(a.id, b.second);
     const int fanout = static_cast<int>(rng.uniform_int(0, 2));
     for (int f = 0; f < fanout; ++f) {
       // Mix of short frame-like delays and long timer-like delays.
       const double delay = rng.uniform01() < 0.8
                                ? rng.uniform(1e-4, 1e-3)
                                : rng.uniform(1.0, 30.0);
-      heap.push(a.time + delay, [] {});
-      ladder.push(a.time + delay, [] {});
+      push(a.time + delay);
     }
-    ASSERT_EQ(heap.size(), ladder.size());
+    ASSERT_EQ(queue.size(), model.size());
   }
-  EXPECT_GT(ladder.stats().ladder_spills, 0U);
+  EXPECT_GT(queue.stats().ladder_spills, 0U);
 }
 
-// --- Tombstone compaction (both backends): a cancel-heavy run must not
-// --- carry an unbounded dead fraction until tombstones surface at the
-// --- front — the threshold sweep reclaims them eagerly.
+// --- Tombstone compaction: a cancel-heavy run must not carry an unbounded
+// --- dead fraction until tombstones surface at the front — the threshold
+// --- sweep reclaims them eagerly.
 
-class EventQueueCompactionTest
-    : public ::testing::TestWithParam<p2p::sim::QueueBackend> {};
-
-TEST_P(EventQueueCompactionTest, MassCancelTriggersCompaction) {
-  EventQueue queue(GetParam());
+TEST(EventQueueCompaction, MassCancelTriggersCompaction) {
+  EventQueue queue;
   std::vector<EventId> ids;
   for (int i = 0; i < 4096; ++i) {
     ids.push_back(queue.push(static_cast<double>(i % 97), [] {}));
@@ -379,8 +410,8 @@ TEST_P(EventQueueCompactionTest, MassCancelTriggersCompaction) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(EventQueueCompactionTest, RawPeakBoundsLivePeak) {
-  EventQueue queue(GetParam());
+TEST(EventQueueCompaction, RawPeakBoundsLivePeak) {
+  EventQueue queue;
   p2p::sim::RngStream rng(99);
   std::vector<EventId> ids;
   for (int step = 0; step < 20000; ++step) {
@@ -400,54 +431,52 @@ TEST_P(EventQueueCompactionTest, RawPeakBoundsLivePeak) {
   EXPECT_LE(queue.peak_raw_size(), 2 * queue.peak_size() + 128);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueCompactionTest,
-                         ::testing::Values(p2p::sim::QueueBackend::kHeap,
-                                           p2p::sim::QueueBackend::kLadder));
+// --- Storage bound: the queue's heap footprint stays proportional to the
+// --- most entries it ever held. Pooled bucket vectors used to inherit the
+// --- bottom tier's buffer at every dip and keep the buffers of buckets
+// --- carved into child rungs, so their capacity only ever grew: ~40x the
+// --- entry bytes on this workload, and rising with its length.
 
-// --- Full-scenario equivalence: a shrunk megascale-shaped run (paper
-// --- density, AODV, staggered joins — the `megascale --smoke` recipe at
-// --- a tier-1-friendly population) must report the identical world on
-// --- both backends. The full-size equivalence is enforced by bench_guard:
-// --- megascale.smoke (10k nodes) selects the ladder through the default
-// --- gate, and its pinned counters were recorded on the heap.
-
-TEST(EventQueueLadder, MegascaleShapedScenarioMatchesHeapBackend) {
-  p2p::scenario::Parameters params;
-  params.algorithm = p2p::core::AlgorithmKind::kRegular;
-  params.num_nodes = 2000;
-  const double side = 100.0 * std::sqrt(2000.0 / 50.0);
-  params.area_width = side;
-  params.area_height = side;
-  params.duration_s = 30.0;
-  params.seed = 7;
-  params.routing_protocol = p2p::scenario::RoutingProtocol::kAodv;
-  params.join_stagger_s = 3.0;
-  params.overlay_sample_interval_s = 0.0;
-
-  params.ladder_queue_min_nodes = std::size_t(-1);  // force the heap
-  ASSERT_FALSE(params.use_ladder_queue());
-  p2p::scenario::SimulationRun heap_run(params);
-  const p2p::scenario::RunResult heap = heap_run.run();
-
-  params.ladder_queue_min_nodes = 0;  // force the ladder
-  ASSERT_TRUE(params.use_ladder_queue());
-  p2p::scenario::SimulationRun ladder_run(params);
-  const p2p::scenario::RunResult ladder = ladder_run.run();
-
-  ASSERT_GT(heap.frames_delivered, 0U);
-  ASSERT_GT(ladder.queue_ladder_spills, 0U);
-  EXPECT_EQ(heap.events_processed, ladder.events_processed);
-  EXPECT_EQ(heap.frames_transmitted, ladder.frames_transmitted);
-  EXPECT_EQ(heap.frames_delivered, ladder.frames_delivered);
-  EXPECT_EQ(heap.frames_lost, ladder.frames_lost);
-  EXPECT_EQ(heap.peak_queue_depth, ladder.peak_queue_depth);
-  EXPECT_EQ(heap.queue_pushes, ladder.queue_pushes);
-  EXPECT_EQ(heap.queue_pops, ladder.queue_pops);
-  EXPECT_EQ(heap.energy_consumed_j, ladder.energy_consumed_j);
-  EXPECT_EQ(heap.routing_control_messages, ladder.routing_control_messages);
-  EXPECT_EQ(heap.connections_established, ladder.connections_established);
-  EXPECT_EQ(heap.connections_closed, ladder.connections_closed);
-  EXPECT_EQ(heap.query_success_rate(), ladder.query_success_rate());
+TEST(EventQueueMemory, FootprintStaysProportionalToPeakEntries) {
+  // Flood waves over periodic timers, the shape of a Basic world: each
+  // timer re-arms itself, and 5% of timer firings start a wave of frame
+  // arrivals over the next half second. The near ones land in the sorted
+  // bottom tier and grow it; the far ones overfill rung buckets, which
+  // are then re-bucketed.
+  constexpr std::size_t kEntryBytes = 24;  // sizeof the queue's entry POD
+  const std::size_t base = g_live_bytes.load();
+  std::size_t worst = 0;
+  std::size_t peak_raw = 0;
+  std::uint64_t rebuckets = 0;
+  {
+    EventQueue queue;
+    p2p::sim::RngStream rng(5);
+    bool timer = false;
+    const auto arm_timer = [&](double t) {
+      queue.push(t, [&timer] { timer = true; });
+    };
+    for (int i = 0; i < 2000; ++i) arm_timer(rng.uniform(0.0, 30.0));
+    for (int i = 0; i < 200000; ++i) {
+      auto popped = queue.pop();
+      timer = false;
+      popped.fn();
+      if (!timer) continue;  // a frame arrival: nothing follows
+      arm_timer(popped.time + rng.uniform(1.0, 30.0));
+      if (rng.uniform01() < 0.05) {
+        for (int f = 0; f < 500; ++f) {
+          queue.push(popped.time + rng.uniform(1e-4, 0.5), [] {});
+        }
+      }
+      worst = std::max(worst, g_live_bytes.load() - base);
+    }
+    peak_raw = queue.peak_raw_size();
+    rebuckets = queue.stats().ladder_rebuckets;
+  }
+  EXPECT_GT(rebuckets, 100U);
+  // Slots (closure + generation, in doubling vectors) cost up to ~7
+  // entries each; buckets, tiers and pool bookkeeping add a few more.
+  EXPECT_LE(worst, 16 * peak_raw * kEntryBytes)
+      << "peak_raw " << peak_raw << ", rebuckets " << rebuckets;
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // These tests pin the exact sequence-number/hop-count replacement rules
 // and the lifecycle corners (expiry invalidates but keeps the sequence
 // number, precursors survive updates, slots reset across clear()) so any
-// representation change underneath — the table is population-gated
-// dual-backend today: dense per-NodeId slots at paper scale, an
-// open-addressed hash map at mega-scale — is verified against the same
-// observable semantics. BackendEquivalence drives both backends through
-// one scripted history and asserts every observable output matches.
+// representation change underneath the open-addressed map is verified
+// against the same observable semantics. The last test drives the table
+// and a std::map reference through one scripted history and asserts every
+// observable output matches, ascending-destination order included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "routing/routing_table.hpp"
@@ -190,45 +192,103 @@ TEST(RoutingTableVia, BufferOverloadMatchesAndSkipsInactive) {
   EXPECT_TRUE(buf.empty());
 }
 
-// --------------------------------------------------- backend equivalence --
+// ------------------------------------------------------ reference model --
 
-// Every observable output of the two backends must match: find, size,
-// destinations_via order, and all() iteration. One scripted pseudo-random
-// history (updates, refreshes, invalidations, expiries, a mid-run clear)
-// is applied to a dense-backed table (universe hint inside
-// kDenseUniverseMax) and a hash-backed table (no hint), comparing after
-// every step.
-TEST(RoutingTableBackends, ObservablyIdenticalUnderSameHistory) {
-  RoutingTable dense;
-  dense.set_universe_hint(64);  // <= kDenseUniverseMax: dense backend
-  RoutingTable hashed;          // no hint: hash backend
+// Test-only oracle: the RFC 3561 table semantics over an ordered
+// std::map<NodeId, Route>, whose iteration order is the ascending-
+// destination contract of destinations_via and all().
+struct MapRoutingTable {
+  std::map<NodeId, Route> routes;
+
+  Route* find_active(NodeId dst, double now) {
+    const auto it = routes.find(dst);
+    if (it == routes.end() || !it->second.valid) return nullptr;
+    if (it->second.expires <= now) {
+      it->second.valid = false;
+      return nullptr;
+    }
+    return &it->second;
+  }
+  bool is_better(NodeId dst, std::uint32_t seq, std::uint8_t hops,
+                 double now) const {
+    const auto it = routes.find(dst);
+    if (it == routes.end()) return true;
+    const Route& r = it->second;
+    if (!r.valid || r.expires <= now || !r.seq_valid) return true;
+    const auto newer = static_cast<std::int32_t>(seq - r.dst_seq);
+    return newer > 0 || (newer == 0 && hops < r.hop_count);
+  }
+  void update(NodeId dst, NodeId via, std::uint8_t hops, std::uint32_t seq,
+              double expires) {
+    Route& r = routes[dst];
+    r.next_hop = via;
+    r.hop_count = hops;
+    r.dst_seq = seq;
+    r.seq_valid = true;
+    r.valid = true;
+    r.expires = std::max(r.expires, expires);
+  }
+  void refresh(NodeId dst, double expires) {
+    const auto it = routes.find(dst);
+    if (it == routes.end() || !it->second.valid) return;
+    it->second.expires = std::max(it->second.expires, expires);
+  }
+  bool invalidate(NodeId dst) {
+    const auto it = routes.find(dst);
+    if (it == routes.end()) return false;
+    if (it->second.valid) {
+      it->second.valid = false;
+      ++it->second.dst_seq;
+      it->second.seq_valid = true;
+    }
+    return true;
+  }
+  void add_precursor(NodeId dst, NodeId pre) {
+    const auto it = routes.find(dst);
+    if (it != routes.end()) it->second.precursors.insert(pre);
+  }
+  std::vector<NodeId> destinations_via(NodeId via, double now) const {
+    std::vector<NodeId> out;
+    for (const auto& [dst, r] : routes) {
+      if (r.valid && r.expires > now && r.next_hop == via) out.push_back(dst);
+    }
+    return out;
+  }
+};
+
+// Every observable output must match the reference: find, size,
+// destinations_via order, and all() iteration order. One scripted
+// pseudo-random history (updates, refreshes, invalidations, expiries, a
+// mid-run clear) is applied to both, comparing at checkpoints.
+TEST(RoutingTable, MatchesMapReferenceUnderScriptedHistory) {
+  RoutingTable table;
+  MapRoutingTable model;
 
   const auto expect_same = [&](double now) {
-    ASSERT_EQ(dense.size(), hashed.size());
+    ASSERT_EQ(table.size(), model.routes.size());
     for (NodeId dst = 0; dst < 64; ++dst) {
-      const Route* a = dense.find(dst);
-      const Route* b = hashed.find(dst);
-      ASSERT_EQ(a == nullptr, b == nullptr) << "dst " << dst;
+      const Route* a = table.find(dst);
+      const auto it = model.routes.find(dst);
+      ASSERT_EQ(a == nullptr, it == model.routes.end()) << "dst " << dst;
       if (a == nullptr) continue;
-      EXPECT_EQ(a->next_hop, b->next_hop);
-      EXPECT_EQ(a->hop_count, b->hop_count);
-      EXPECT_EQ(a->dst_seq, b->dst_seq);
-      EXPECT_EQ(a->seq_valid, b->seq_valid);
-      EXPECT_EQ(a->valid, b->valid);
-      EXPECT_EQ(a->expires, b->expires);
-      EXPECT_EQ(a->precursors, b->precursors);
+      const Route& b = it->second;
+      EXPECT_EQ(a->next_hop, b.next_hop);
+      EXPECT_EQ(a->hop_count, b.hop_count);
+      EXPECT_EQ(a->dst_seq, b.dst_seq);
+      EXPECT_EQ(a->seq_valid, b.seq_valid);
+      EXPECT_EQ(a->valid, b.valid);
+      EXPECT_EQ(a->expires, b.expires);
+      EXPECT_EQ(a->precursors, b.precursors);
     }
     for (NodeId via = 0; via < 8; ++via) {
-      EXPECT_EQ(dense.destinations_via(via, now),
-                hashed.destinations_via(via, now));
+      EXPECT_EQ(table.destinations_via(via, now),
+                model.destinations_via(via, now));
     }
-    const auto view_a = dense.all();  // views must outlive their iterators
-    const auto view_b = hashed.all();
-    auto it_a = view_a.begin();
-    auto it_b = view_b.begin();
-    for (; it_a != view_a.end(); ++it_a, ++it_b) {
-      EXPECT_EQ((*it_a).dst, (*it_b).dst);
-    }
+    std::vector<NodeId> order;
+    for (const auto& [dst, route] : table.all()) order.push_back(dst);
+    std::vector<NodeId> expect_order;
+    for (const auto& [dst, route] : model.routes) expect_order.push_back(dst);
+    EXPECT_EQ(order, expect_order);
   };
 
   std::uint64_t x = 12345;  // deterministic LCG-driven op script
@@ -246,42 +306,41 @@ TEST(RoutingTableBackends, ObservablyIdenticalUnderSameHistory) {
         const auto hops = static_cast<std::uint8_t>(1 + next(4));
         const auto seq = static_cast<std::uint32_t>(next(32));
         const double expires = now + static_cast<double>(1 + next(40));
-        if (dense.is_better(dst, seq, true, hops, now)) {
-          ASSERT_TRUE(hashed.is_better(dst, seq, true, hops, now));
-          dense.update(dst, via, hops, seq, true, expires);
-          hashed.update(dst, via, hops, seq, true, expires);
-        } else {
-          ASSERT_FALSE(hashed.is_better(dst, seq, true, hops, now));
+        const bool better = model.is_better(dst, seq, hops, now);
+        ASSERT_EQ(table.is_better(dst, seq, true, hops, now), better);
+        if (better) {
+          table.update(dst, via, hops, seq, true, expires);
+          model.update(dst, via, hops, seq, expires);
         }
         break;
       }
       case 2:
-        dense.refresh(dst, now + 30.0);
-        hashed.refresh(dst, now + 30.0);
+        table.refresh(dst, now + 30.0);
+        model.refresh(dst, now + 30.0);
         break;
       case 3:
-        ASSERT_EQ(dense.invalidate(dst), hashed.invalidate(dst));
+        ASSERT_EQ(table.invalidate(dst), model.invalidate(dst));
         break;
       case 4: {
         const auto pre = static_cast<NodeId>(next(8));
-        dense.add_precursor(dst, pre);
-        hashed.add_precursor(dst, pre);
+        table.add_precursor(dst, pre);
+        model.add_precursor(dst, pre);
         break;
       }
       case 5:
         // find_active has the lazy-expiry side effect; exercise it.
-        ASSERT_EQ(dense.find_active(dst, now) == nullptr,
-                  hashed.find_active(dst, now) == nullptr);
+        ASSERT_EQ(table.find_active(dst, now) == nullptr,
+                  model.find_active(dst, now) == nullptr);
         break;
     }
     if (step == 400) {  // crash/rebirth mid-history
-      dense.clear();
-      hashed.clear();
+      table.clear();
+      model.routes.clear();
     }
     if (step % 97 == 0) expect_same(now);
   }
   expect_same(800.0);
-  EXPECT_GT(dense.size(), 0U);  // the script actually exercised the table
+  EXPECT_GT(table.size(), 0U);  // the script actually exercised the table
 }
 
 }  // namespace

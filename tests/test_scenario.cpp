@@ -156,6 +156,30 @@ TEST(Parameters, CrashRunAtRequiresSequentialExecution) {
   EXPECT_TRUE(params.fault.crash_run_enabled());
 }
 
+TEST(Parameters, InvariantCheckRequiresSequentialExecution) {
+  // The checker observes every frame, which sharded lanes cannot share;
+  // the combination must be a named error here, not an abort in build().
+  util::Config sharded;
+  sharded.set("invariant_check_interval", "1");
+  sharded.set("sim_shards", "2");
+  std::string err = Parameters{}.apply(sharded);
+  EXPECT_NE(err.find("invariant_check_interval"), std::string::npos) << err;
+
+  // Threads with auto shards resolve to a sharded run too.
+  util::Config threaded;
+  threaded.set("invariant_check_interval", "1");
+  threaded.set("sim_threads", "2");
+  err = Parameters{}.apply(threaded);
+  EXPECT_NE(err.find("invariant_check_interval"), std::string::npos) << err;
+
+  util::Config sequential;
+  sequential.set("invariant_check_interval", "1");
+  sequential.set("sim_shards", "1");
+  Parameters params;
+  EXPECT_EQ(params.apply(sequential), "");
+  EXPECT_EQ(params.invariant_check_interval_s, 1.0);
+}
+
 TEST(Parameters, SummaryMentionsKeyFacts) {
   const Parameters params;
   const std::string s = params.summary();

@@ -239,6 +239,11 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"num_nodes\":0}}", "\"code\":\"bad_config\""},
       {"{\"config\":{\"mac_loss_probability\":1.5}}",
        "\"code\":\"bad_config\""},
+      // Well-formed, but the run layer cannot execute it (per-frame
+      // invariant checking under sharding): refused before any worker.
+      {"{\"config\":{\"num_nodes\":20,\"duration_s\":5,\"sim_shards\":2,"
+       "\"invariant_check_interval\":1},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
   };
 
