@@ -23,8 +23,8 @@
 //   model_mem_mb     capacity-accounted model memory (net + routing +
 //                    servent state, see RunResult) — deterministic, but
 //                    machine-width dependent, so also not guarded.
-//   collect_ms       end-of-run analysis time inside wall_s (sequential
-//                    worlds only; omitted when zero). Timing, not guarded.
+//   collect_ms       end-of-run analysis time inside wall_s (omitted when
+//                    zero). Timing, not guarded.
 //
 // Usage: megascale [--label NAME] [--out FILE] [--smoke] [--repeat N]
 // --smoke runs a single bounded 10k-node slice (the `mega` ctest + the
@@ -46,10 +46,7 @@ using bench::Clock;
 using bench::Options;
 using bench::Record;
 
-scenario::Parameters make_params(std::size_t nodes, double sim_seconds,
-                                 const Options& opt) {
-  const std::size_t sim_threads = opt.sim_threads;
-  const std::size_t sim_shards = opt.sim_shards;
+scenario::Parameters make_params(std::size_t nodes, double sim_seconds) {
   scenario::Parameters p;
   p.algorithm = core::AlgorithmKind::kRegular;
   p.num_nodes = nodes;
@@ -71,48 +68,32 @@ scenario::Parameters make_params(std::size_t nodes, double sim_seconds,
   // Measurement-only machinery off: the periodic overlay sampler is
   // O(members + edges) per sample and would dominate at this scale.
   p.overlay_sample_interval_s = 0.0;
-  // Parallel execution. The shard count is pinned whenever any parallel
-  // run is requested (never left to the 0-auto rule) so a --threads sweep
-  // compares identical event histories: sim_threads only changes who
-  // executes them (scenario::Parameters::effective_sim_shards).
-  p.sim_threads = sim_threads;
-  if (sim_shards > 0) {
-    p.sim_shards = sim_shards;
-  } else if (sim_threads > 1) {
-    p.sim_shards = nodes >= 8192 ? 64 : 16;
-  }
   return p;
 }
 
 Record bench_megascale(const std::string& bench_name, std::size_t nodes,
-                       double sim_seconds, int repeat, const Options& opt) {
+                       double sim_seconds, int repeat) {
   Record rec;
   rec.bench = bench_name;
   rec.ops_name = "frames";
   rec.wall_s = 1e100;
-  const scenario::Parameters params = make_params(nodes, sim_seconds, opt);
-  rec.threads = opt.sim_threads;
-  rec.sim_shards = params.effective_sim_shards() > 1
-                       ? params.effective_sim_shards()
-                       : 0;
+  const scenario::Parameters params = make_params(nodes, sim_seconds);
   double collect_s = 0.0;  // of the best repeat
   for (int r = 0; r < repeat; ++r) {
     scenario::SimulationRun run(params);
     const auto start = Clock::now();
     run.build();
-    // Sequential worlds simulate through the simulator seam so the
-    // end-of-run analysis can be timed on its own: run() then finds the
-    // clock at duration_s and only collects. Sharded worlds need run()'s
-    // executor, so their collect time stays inside wall_s (and unreported).
-    const bool split = run.shard_count() == 1;
-    if (split) run.simulator().run_until(params.duration_s);
+    // Simulate through the simulator seam so the end-of-run analysis can
+    // be timed on its own: run() then finds the clock at duration_s and
+    // only collects.
+    run.simulator().run_until(params.duration_s);
     const auto collect_start = Clock::now();
     const scenario::RunResult result = run.run();
     const double run_s = bench::seconds_since(collect_start);
     const double wall_s = bench::seconds_since(start);
     if (wall_s < rec.wall_s) {
       rec.wall_s = wall_s;
-      collect_s = split ? run_s : 0.0;
+      collect_s = run_s;
     }
 
     std::uint64_t queries = 0, answers = 0;
@@ -153,23 +134,8 @@ int main(int argc, char** argv) {
     // seconds is the minimum for completed queries: the first query fires
     // up to query_gap_max (45 s) after join and finalizes only after the
     // 30 s response window.
-    bench::emit(bench_megascale("megascale.smoke", 10000, 75.0, opt.repeat,
-                                opt),
+    bench::emit(bench_megascale("megascale.smoke", 10000, 75.0, opt.repeat),
                 opt);
-    if (opt.sim_threads <= 1 && opt.sim_shards == 0) {
-      // Sharded smoke (plain --smoke invocations only, so a --threads
-      // sweep doesn't double-record): a 5k-node world executed through
-      // the conservative parallel path (4 threads, 16-shard model
-      // pinned). Its counters are fixed-seed reproducible like everything
-      // else here, so bench_guard pins the sharded event history in
-      // tier-1 too, at roughly half the cost of the sequential smoke.
-      Options sharded = opt;
-      sharded.sim_threads = 4;
-      sharded.sim_shards = 16;
-      bench::emit(bench_megascale("megascale.smoke_sharded", 5000, 75.0,
-                                  opt.repeat, sharded),
-                  opt);
-    }
     return 0;
   }
   struct Scale {
@@ -190,8 +156,7 @@ int main(int argc, char** argv) {
     // wall_s is best-of---repeat like every other tier; counters are
     // fixed-seed reproducible regardless. Use --repeat 1 when a quick
     // single pass is enough — a 100k-node world is ~a minute per rep.
-    bench::emit(bench_megascale(s.name, s.nodes, s.sim_seconds, opt.repeat,
-                                opt),
+    bench::emit(bench_megascale(s.name, s.nodes, s.sim_seconds, opt.repeat),
                 opt);
   }
   return 0;

@@ -34,13 +34,6 @@ struct Options {
   std::string out;       // empty = stdout only
   bool smoke = false;    // tiny scale, exercises the JSON path in ctest
   int repeat = 3;        // best-of-N wall time
-  // Parallel execution (scenario-level benches only; kernel/microbench
-  // binaries accept and ignore them so tools/bench.sh can pass them
-  // uniformly). sim_threads is pure execution; sim_shards pins the model
-  // decomposition so thread sweeps compare identical event histories
-  // (scenario::Parameters::effective_sim_shards).
-  std::size_t sim_threads = 1;
-  std::size_t sim_shards = 0;
 };
 
 /// Parse the common flags. Exits with a message on malformed input or,
@@ -67,13 +60,6 @@ inline Options parse_options(int argc, char** argv, bool allow_suite) {
       opt.repeat = 1;
     } else if (arg == "--repeat") {
       opt.repeat = std::atoi(value().c_str());
-    } else if (arg == "--sim-threads") {
-      opt.sim_threads = static_cast<std::size_t>(
-          std::strtoull(value().c_str(), nullptr, 10));
-      if (opt.sim_threads == 0) opt.sim_threads = 1;
-    } else if (arg == "--sim-shards") {
-      opt.sim_shards = static_cast<std::size_t>(
-          std::strtoull(value().c_str(), nullptr, 10));
     } else {
       std::cerr << "unknown argument " << arg << "\n";
       std::exit(1);
@@ -103,14 +89,6 @@ struct Record {
   std::uint64_t frames_delivered = 0;
   std::size_t peak_queue = 0;
   double sim_time_s = 0.0;
-  // Execution thread count and pinned shard decomposition of this record.
-  // Emitted only when non-default, so every pre-parallel record (and the
-  // sequential records bench_guard pins) keeps its exact byte layout; a
-  // missing "threads" field means 1. bench.sh --compare refuses to pair
-  // records with different thread counts — a 4-thread throughput beating
-  // a 1-thread baseline is scaling, not a hot-path win.
-  std::size_t threads = 1;
-  std::size_t sim_shards = 0;
 
   std::string to_json(const std::string& label) const {
     char buf[512];
@@ -158,14 +136,6 @@ struct Record {
     }
     if (sim_time_s > 0.0) {
       std::snprintf(buf, sizeof(buf), ",\"sim_time_s\":%.1f", sim_time_s);
-      json += buf;
-    }
-    if (threads > 1) {
-      std::snprintf(buf, sizeof(buf), ",\"threads\":%zu", threads);
-      json += buf;
-    }
-    if (sim_shards > 0) {
-      std::snprintf(buf, sizeof(buf), ",\"sim_shards\":%zu", sim_shards);
       json += buf;
     }
     json += "}";

@@ -45,8 +45,7 @@ struct FaultParams {
   // Unlike the processes above this is NOT a modeled network fault — it
   // aborts the repetition, exercising the crash-isolated worker paths
   // (ExperimentError in batch mode, a structured per-seed error from the
-  // serving daemon). Sequential execution only (rejected when the
-  // scenario shards; an exception may not cross shard worker threads).
+  // serving daemon).
   double crash_run_at_s = -1.0;
 
   bool crash_run_enabled() const noexcept { return crash_run_at_s >= 0.0; }

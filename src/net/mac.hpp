@@ -50,14 +50,4 @@ inline double tx_duration(const MacParams& mac, std::size_t payload_bytes) noexc
   return bits / mac.bandwidth_bps;
 }
 
-/// Minimum latency between any transmission decision and its earliest
-/// possible arrival: the airtime of an empty payload (headers still go on
-/// the air) plus propagation. Jitter and half-duplex serialization only
-/// delay further. This is the conservative-parallel lookahead (see
-/// sim/sharded.hpp): an event at time t can influence another node no
-/// earlier than t + min_frame_latency.
-inline double min_frame_latency(const MacParams& mac) noexcept {
-  return tx_duration(mac, 0) + mac.propagation_s;
-}
-
 }  // namespace p2p::net

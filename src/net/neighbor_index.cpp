@@ -36,10 +36,11 @@ std::size_t NeighborIndex::cell_of(geo::Vec2 p) const noexcept {
   return cy * cols_ + cx;
 }
 
-void NeighborIndex::rebuild_csr(std::size_t n) {
+void NeighborIndex::rebuild_csr(const std::vector<geo::Vec2>& positions) {
   // Counting sort of ids into cells. Ids are visited ascending, so every
   // cell comes out id-sorted — the candidate order the delivery loops are
   // keyed to.
+  const std::size_t n = positions.size();
   const std::size_t cells = cols_ * rows_;
   std::fill(cell_start_.begin(), cell_start_.end(), 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -58,7 +59,7 @@ void NeighborIndex::rebuild_csr(std::size_t n) {
     const std::uint32_t c = node_cell_[i];
     const std::uint32_t at = cell_fill_[c]++;
     cell_nodes_[at] = static_cast<NodeId>(i);
-    cell_pos_[at] = node_pos_[i];
+    cell_pos_[at] = positions[i];
   }
 }
 
@@ -68,14 +69,12 @@ void NeighborIndex::refresh(sim::SimTime now,
   const std::size_t n = positions.size();
   if (node_cell_.size() < n) {
     ++alloc_events_;
-    node_pos_.resize(n);
     node_cell_.resize(n);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    node_pos_[i] = positions[i];
     node_cell_[i] = static_cast<std::uint32_t>(cell_of(positions[i]));
   }
-  rebuild_csr(n);
+  rebuild_csr(positions);
   indexed_count_ = n;
   built_at_ = now;
   ever_built_ = true;
@@ -120,8 +119,7 @@ void NeighborIndex::candidates_near(geo::Vec2 center, sim::SimTime now,
 }
 
 std::size_t NeighborIndex::memory_bytes() const noexcept {
-  return node_pos_.capacity() * sizeof(geo::Vec2) +
-         node_cell_.capacity() * sizeof(std::uint32_t) +
+  return node_cell_.capacity() * sizeof(std::uint32_t) +
          cell_start_.capacity() * sizeof(std::uint32_t) +
          cell_fill_.capacity() * sizeof(std::uint32_t) +
          cell_nodes_.capacity() * sizeof(NodeId) +

@@ -55,13 +55,6 @@ class NeighborIndex {
   sim::SimTime built_at() const noexcept { return built_at_; }
   bool ever_built() const noexcept { return ever_built_; }
 
-  /// Cached position of node `id` as of the last rebuild — the exact
-  /// positions the CSR query arrays are built from. Sharded execution
-  /// filters ranges against these (stale by at most the tolerance) so a
-  /// window never touches the mobility models. Valid for id < the indexed
-  /// population.
-  geo::Vec2 cached_position(NodeId id) const noexcept { return node_pos_[id]; }
-
   /// How often a refresh had to grow a buffer. The steady-state lock-in
   /// test pins this: once warmed up, rebuilds over a fixed population
   /// allocate nothing.
@@ -73,9 +66,9 @@ class NeighborIndex {
 
  private:
   std::size_t cell_of(geo::Vec2 p) const noexcept;
-  /// Rebuild the CSR query arrays from the per-node arrays (counting
-  /// sort; iterating ids ascending keeps each cell id-sorted).
-  void rebuild_csr(std::size_t n);
+  /// Rebuild the CSR query arrays from `positions` and node_cell_
+  /// (counting sort; iterating ids ascending keeps each cell id-sorted).
+  void rebuild_csr(const std::vector<geo::Vec2>& positions);
 
   geo::Region region_;
   double range_;
@@ -86,14 +79,11 @@ class NeighborIndex {
   std::size_t cols_ = 0;
   std::size_t rows_ = 0;
 
-  // Per-node state as of the last rebuild.
-  std::vector<geo::Vec2> node_pos_;       // position at built_at_
-  std::vector<std::uint32_t> node_cell_;  // node -> cell
+  std::vector<std::uint32_t> node_cell_;  // node -> cell at built_at_
 
-  // CSR query arrays, rebuilt from the per-node state once per refresh
-  // window: nodes of cell c live at [cell_start_[c], cell_start_[c+1])
-  // in cell_nodes_, id-ascending, with their cached positions alongside
-  // in cell_pos_.
+  // CSR query arrays, rebuilt once per refresh window: nodes of cell c
+  // live at [cell_start_[c], cell_start_[c+1]) in cell_nodes_,
+  // id-ascending, with their cached positions alongside in cell_pos_.
   std::vector<std::uint32_t> cell_start_;        // cells + 1 offsets
   std::vector<std::uint32_t> cell_fill_;         // counting-pass cursor
   std::vector<NodeId> cell_nodes_;

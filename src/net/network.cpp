@@ -55,7 +55,6 @@ void Network::purge_expired_blackouts() {
 }
 
 void Network::set_link_blackout(NodeId a, NodeId b, sim::SimTime until) {
-  P2P_DASSERT(tls_lane_ == nullptr);  // ledger writes happen between windows
   P2P_ASSERT(a < nodes_.size() && b < nodes_.size() && a != b);
   if (blackout_map_.size() >= blackout_purge_at_) purge_expired_blackouts();
   sim::SimTime& end = blackout_map_.get_or_insert(link_key(a, b));
@@ -73,27 +72,22 @@ bool Network::link_blacked_out(NodeId a, NodeId b) const {
 
 bool Network::link_usable(NodeId a, NodeId b) {
   if (!alive(a) || !alive(b)) return false;
-  if (Lane* lane = tls_lane_) {
-    if (!sharded_in_range(a, b)) return false;
-    return !(faults_frozen_ && sharded_link_blacked_out(*lane, a, b));
-  }
   if (!in_range(a, b)) return false;
   return !(faults_active() && link_blacked_out(a, b));
 }
 
-bool Network::channel_lost(sim::RngStream& rng, const geo::Vec2& from,
-                           const geo::Vec2& to) {
+bool Network::channel_lost(const geo::Vec2& from, const geo::Vec2& to) {
   const double loss_p = params_.mac.loss_probability;
-  bool lost = loss_p > 0.0 && rng.chance(loss_p);
+  bool lost = loss_p > 0.0 && mac_rng_.chance(loss_p);
   if (!lost && params_.mac.gray_zone_fraction > 0.0) {
     const double dist = geo::distance(from, to);
-    lost = !rng.chance(
+    lost = !mac_rng_.chance(
         gray_zone_delivery_probability(params_.mac, dist, params_.range));
   }
   return lost;
 }
 
-bool Network::channel_lost_faulted(sim::RngStream& rng, const geo::Vec2& from,
+bool Network::channel_lost_faulted(const geo::Vec2& from,
                                    const geo::Vec2& to) {
   double loss_p = params_.mac.loss_probability;
   if (burst_loss_ > 0.0) {
@@ -103,10 +97,10 @@ bool Network::channel_lost_faulted(sim::RngStream& rng, const geo::Vec2& from,
     // stay bit-identical.
     loss_p = 1.0 - (1.0 - loss_p) * (1.0 - burst_loss_);
   }
-  bool lost = loss_p > 0.0 && rng.chance(loss_p);
+  bool lost = loss_p > 0.0 && mac_rng_.chance(loss_p);
   if (!lost && params_.mac.gray_zone_fraction > 0.0) {
     const double dist = geo::distance(from, to);
-    lost = !rng.chance(
+    lost = !mac_rng_.chance(
         gray_zone_delivery_probability(params_.mac, dist, params_.range));
   }
   return lost;
@@ -123,16 +117,16 @@ const EnergyModel& Network::energy(NodeId id) const {
 }
 
 bool Network::in_range(NodeId a, NodeId b) {
-  if (tls_lane_ != nullptr) return sharded_in_range(a, b);
   P2P_ASSERT(a < nodes_.size() && b < nodes_.size());
   if (a == b) return true;
   const double r2 = params_.range * params_.range;
   return geo::distance2(position_of(a), position_of(b)) <= r2;
 }
 
-void Network::refresh_index(sim::SimTime t) {
+void Network::refresh_index() {
   // Probe first: the O(n) position pass is paid only when the index
   // actually rebuilds.
+  const sim::SimTime t = sim_->now();
   if (index_.is_fresh(t, nodes_.size())) return;
   scratch_positions_.resize(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
@@ -142,7 +136,7 @@ void Network::refresh_index(sim::SimTime t) {
 }
 
 void Network::receivers_of(NodeId sender, std::vector<NodeId>* out) {
-  refresh_index(sim_->now());
+  refresh_index();
   const geo::Vec2 sp = position_of(sender);  // sampled once, reused below
   index_.candidates_near(sp, sim_->now(), &scratch_candidates_);
   out->clear();
@@ -168,10 +162,9 @@ std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
 }
 
 void Network::adjacency_snapshot(std::vector<std::vector<NodeId>>* out) {
-  P2P_DASSERT(tls_lane_ == nullptr);  // global-clock snapshot, barrier-only
   P2P_ASSERT(out != nullptr);
   out->resize(nodes_.size());
-  refresh_index(sim_->now());
+  refresh_index();
   // Force an exact snapshot: every position fresh at this instant.
   scratch_positions_.resize(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
@@ -216,7 +209,6 @@ const std::vector<std::vector<NodeId>>& Network::shared_adjacency() {
 }
 
 int Network::physical_hop_distance(NodeId a, NodeId b) {
-  if (Lane* lane = tls_lane_) return sharded_hop_distance(*lane, a, b);
   // If the memoized snapshot is already fresh (e.g. several query hits at
   // the same instant), a BFS over it is cheapest — no rebuild happens.
   if (shared_adj_time_ == sim_->now() && shared_adj_epoch_ == liveness_epoch_) {
@@ -231,7 +223,7 @@ int Network::physical_hop_distance(NodeId a, NodeId b) {
   if (a >= n || b >= n) return graph::kUnreachable;
   if (a == b) return 0;
   if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  refresh_index(sim_->now());
+  refresh_index();
   if (grid_stamp_.size() < n) {
     grid_stamp_.resize(n, 0);
     grid_dist_.resize(n);
@@ -314,10 +306,6 @@ void Network::deliver_batch(std::uint32_t batch, const Frame& frame) {
 void Network::broadcast(NodeId sender, FramePayloadPtr payload,
                         std::size_t bytes) {
   P2P_ASSERT(sender < nodes_.size());
-  if (Lane* lane = tls_lane_) {
-    sharded_broadcast(*lane, sender, std::move(payload), bytes);
-    return;
-  }
   if (!alive(sender)) return;
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
@@ -327,7 +315,7 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
     observer_->on_transmit(sim_->now(), sender, kBroadcast, bytes);
   }
 
-  refresh_index(sim_->now());
+  refresh_index();
   const geo::Vec2 sender_pos = position_of(sender);
   index_.candidates_near(sender_pos, sim_->now(), &scratch_candidates_);
   const double duration = tx_duration(params_.mac, bytes);
@@ -352,8 +340,8 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
     // A blacked-out link behaves like out-of-range: silently skipped, no
     // channel draws (keeps draw order fault-free-identical).
     if (faulted && link_blacked_out(sender, cand)) continue;
-    const bool lost = faulted ? channel_lost_faulted(mac_rng_, sender_pos, rp)
-                              : channel_lost(mac_rng_, sender_pos, rp);
+    const bool lost = faulted ? channel_lost_faulted(sender_pos, rp)
+                              : channel_lost(sender_pos, rp);
     if (lost) {
       ++frames_lost_;
       if (observer_ != nullptr) {
@@ -382,10 +370,6 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
                       std::size_t bytes) {
   P2P_ASSERT(sender < nodes_.size());
   P2P_ASSERT(neighbor < nodes_.size());
-  if (Lane* lane = tls_lane_) {
-    sharded_unicast(*lane, sender, neighbor, std::move(payload), bytes);
-    return;
-  }
   if (!alive(sender)) return;
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
@@ -405,10 +389,8 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
     return;
   }
   const bool lost =
-      faulted
-          ? channel_lost_faulted(mac_rng_, position_of(sender),
-                                 position_of(neighbor))
-          : channel_lost(mac_rng_, position_of(sender), position_of(neighbor));
+      faulted ? channel_lost_faulted(position_of(sender), position_of(neighbor))
+              : channel_lost(position_of(sender), position_of(neighbor));
   if (lost) {
     ++frames_lost_;
     if (observer_ != nullptr) {
@@ -450,352 +432,7 @@ std::size_t Network::memory_bytes() const noexcept {
   for (const auto& node : nodes_) {
     bytes += node.listeners.capacity() * sizeof(LinkListener*);
   }
-  for (const Lane& lane : lanes_) {
-    bytes += lane.scratch_candidates.capacity() * sizeof(NodeId) +
-             lane.free_batches.capacity() * sizeof(std::uint32_t) +
-             lane.outbox.capacity() * sizeof(OutMsg) +
-             lane.tx_out.capacity() * sizeof(lane.tx_out[0]) +
-             lane.pending_down.capacity() * sizeof(NodeId) +
-             lane.grid_stamp.capacity() * sizeof(std::uint64_t) +
-             lane.grid_dist.capacity() * sizeof(int) +
-             lane.grid_queue.capacity() * sizeof(NodeId) +
-             lane.grid_cand.capacity() * sizeof(NodeId) +
-             lane.batch_pool.capacity() * sizeof(std::vector<NodeId>);
-    for (const auto& batch : lane.batch_pool) {
-      bytes += batch.capacity() * sizeof(NodeId);
-    }
-    for (const OutMsg& msg : lane.outbox) {
-      bytes += msg.receivers.capacity() * sizeof(NodeId);
-    }
-  }
   return bytes;
-}
-
-// ---- sharded (conservative parallel) execution ----------------------------
-
-thread_local Network::Lane* Network::tls_lane_ = nullptr;
-
-void Network::enable_sharding(std::vector<sim::Simulator*> shard_sims,
-                              std::vector<std::uint32_t> home_shard,
-                              std::vector<sim::RngStream> mac_rngs,
-                              FrameCloner cloner) {
-  P2P_ASSERT_MSG(lanes_.empty(), "sharding already enabled");
-  P2P_ASSERT_MSG(shard_sims.size() >= 2, "sharding needs >= 2 shards");
-  P2P_ASSERT(shard_sims.size() == mac_rngs.size());
-  P2P_ASSERT(home_shard.size() == nodes_.size());
-  P2P_ASSERT(cloner != nullptr);
-  P2P_ASSERT_MSG(observer_ == nullptr, "observer incompatible with sharding");
-  P2P_ASSERT_MSG(frames_tx_ == 0 && frames_rx_ == 0,
-                 "enable_sharding must precede any traffic");
-  for (const std::uint32_t s : home_shard) {
-    P2P_ASSERT(s < shard_sims.size());
-  }
-  lanes_.reserve(shard_sims.size());
-  for (std::size_t s = 0; s < shard_sims.size(); ++s) {
-    P2P_ASSERT(shard_sims[s] != nullptr);
-    lanes_.emplace_back(shard_sims[s], std::move(mac_rngs[s]));
-  }
-  home_shard_ = std::move(home_shard);
-  cloner_ = cloner;
-}
-
-void Network::enter_shard(std::size_t shard) noexcept {
-  P2P_DASSERT(shard < lanes_.size());
-  tls_lane_ = &lanes_[shard];
-}
-
-void Network::exit_shard() noexcept { tls_lane_ = nullptr; }
-
-void Network::begin_window(sim::SimTime start, sim::SimTime /*end*/) {
-  P2P_ASSERT(!lanes_.empty());
-  refresh_index(start);
-  // Freeze the fault gate: inside a window faults_active()'s self-clearing
-  // check would read the global clock. Evaluated against the window start,
-  // so every shard sees one consistent answer.
-  faults_frozen_ =
-      faults_active_ && (burst_loss_ > 0.0 || blackout_horizon_ > start);
-}
-
-void Network::end_window(sim::SimTime /*end*/) {
-  // Drain outboxes in fixed shard order 0..S-1, slots in emission order:
-  // together with per-shard sequential execution inside the window this
-  // makes every destination queue's (time, seq) order a pure function of
-  // the model — identical for any thread count.
-  for (std::size_t src = 0; src < lanes_.size(); ++src) {
-    Lane& lane = lanes_[src];
-    for (std::size_t i = 0; i < lane.outbox_used; ++i) {
-      OutMsg& msg = lane.outbox[i];
-      Lane& dst = lanes_[msg.dst_shard];
-      FramePayloadPtr clone = cloner_(*msg.payload, *dst.pools);
-      const std::uint32_t batch = lane_acquire_batch(dst);
-      dst.batch_pool[batch].assign(msg.receivers.begin(), msg.receivers.end());
-      Frame frame{msg.sender, msg.link_dst, msg.size_bytes, std::move(clone)};
-      dst.sim->at(msg.arrival, [this, batch, frame = std::move(frame)] {
-        sharded_deliver_batch(*tls_lane_, batch, frame);
-      });
-      msg.payload = FramePayloadPtr();  // back to the source lane's pool
-      msg.receivers.clear();            // slot recycles with its capacity
-    }
-    lane.outbox_used = 0;
-  }
-  // Apply battery deaths deferred from inside the windows (duplicates are
-  // harmless — refresh_down is idempotent).
-  for (Lane& lane : lanes_) {
-    for (const NodeId id : lane.pending_down) refresh_down(id);
-    lane.pending_down.clear();
-  }
-}
-
-bool Network::sharded_in_range(NodeId a, NodeId b) const noexcept {
-  P2P_DASSERT(a < nodes_.size() && b < nodes_.size());
-  if (a == b) return true;
-  const double r2 = params_.range * params_.range;
-  return geo::distance2(index_.cached_position(a), index_.cached_position(b)) <=
-         r2;
-}
-
-bool Network::sharded_link_blacked_out(const Lane& lane, NodeId a,
-                                       NodeId b) const {
-  const sim::SimTime* end = blackout_map_.find(link_key(a, b));
-  return end != nullptr && *end > lane.sim->now();
-}
-
-void Network::note_energy_death(Lane& lane, NodeId id) {
-  // down_ is read-only while shards run; queue the flip for the barrier.
-  if (down_[id] == 0 && !nodes_[id].energy.alive()) {
-    lane.pending_down.push_back(id);
-  }
-}
-
-std::uint32_t Network::lane_acquire_batch(Lane& lane) {
-  if (!lane.free_batches.empty()) {
-    const std::uint32_t batch = lane.free_batches.back();
-    lane.free_batches.pop_back();
-    return batch;
-  }
-  lane.batch_pool.emplace_back();
-  return static_cast<std::uint32_t>(lane.batch_pool.size() - 1);
-}
-
-void Network::lane_release_batch(Lane& lane, std::uint32_t batch) {
-  lane.batch_pool[batch].clear();
-  lane.free_batches.push_back(batch);
-}
-
-sim::SimTime Network::sharded_schedule_tx(Lane& lane, NodeState& node,
-                                          double duration) {
-  const sim::SimTime defer =
-      lane.mac_rng.uniform(0.0, params_.mac.jitter_max_s);
-  sim::SimTime start = lane.sim->now() + defer;
-  if (start < node.next_free_tx) start = node.next_free_tx;
-  node.next_free_tx = start + duration;
-  return start;
-}
-
-void Network::sharded_deliver(Lane& lane, NodeId receiver, const Frame& frame) {
-  // Liveness is the window-start snapshot: a battery death earlier in this
-  // same window is applied at the barrier, not mid-window (part of the
-  // deterministic sharded model; batteries default to infinite).
-  if (!alive(receiver)) return;
-  NodeState& node = nodes_[receiver];
-  node.energy.consume_rx(frame.size_bytes);
-  note_energy_death(lane, receiver);
-  ++lane.frames_rx;
-  for (LinkListener* listener : node.listeners) listener->on_frame(frame);
-}
-
-void Network::sharded_deliver_batch(Lane& lane, std::uint32_t batch,
-                                    const Frame& frame) {
-  // Index on every access: a delivery handler can broadcast, growing the
-  // lane's pool vector.
-  for (std::size_t i = 0; i < lane.batch_pool[batch].size(); ++i) {
-    sharded_deliver(lane, lane.batch_pool[batch][i], frame);
-  }
-  lane_release_batch(lane, batch);
-}
-
-void Network::sharded_broadcast(Lane& lane, NodeId sender,
-                                FramePayloadPtr payload, std::size_t bytes) {
-  if (!alive(sender)) return;
-  NodeState& node = nodes_[sender];
-  node.energy.consume_tx(bytes);
-  note_energy_death(lane, sender);
-  ++lane.frames_tx;
-
-  // Candidate filtering runs against the index's cached positions — frozen
-  // for the whole window (begin_window refreshed it), stale by at most the
-  // tolerance plus one lookahead. No mobility sampling, no global clock.
-  const geo::Vec2 sender_pos = index_.cached_position(sender);
-  index_.candidates_near(sender_pos, lane.sim->now(),
-                         &lane.scratch_candidates);
-  const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = sharded_schedule_tx(lane, node, duration);
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
-
-  const double r2 = params_.range * params_.range;
-  const bool faulted = faults_frozen_;
-  const std::uint32_t my_shard = home_shard_[sender];
-  const std::uint32_t batch = lane_acquire_batch(lane);
-  lane.tx_out.clear();
-  for (const NodeId cand : lane.scratch_candidates) {
-    if (cand == sender || !alive(cand)) continue;
-    const geo::Vec2 rp = index_.cached_position(cand);
-    if (geo::distance2(sender_pos, rp) > r2) continue;
-    if (faulted && sharded_link_blacked_out(lane, sender, cand)) continue;
-    const bool lost = faulted
-                          ? channel_lost_faulted(lane.mac_rng, sender_pos, rp)
-                          : channel_lost(lane.mac_rng, sender_pos, rp);
-    if (lost) {
-      ++lane.frames_lost;
-      continue;
-    }
-    const std::uint32_t dst = home_shard_[cand];
-    if (dst == my_shard) {
-      lane.batch_pool[batch].push_back(cand);
-      continue;
-    }
-    // Cross-shard receiver: group into one outbox slot per destination
-    // shard (tx_out is the per-transmission dst -> slot map; broadcasts
-    // touch at most the 3x3 cell block, so a handful of shards).
-    OutMsg* msg = nullptr;
-    for (const auto& [d, slot] : lane.tx_out) {
-      if (d == dst) {
-        msg = &lane.outbox[slot];
-        break;
-      }
-    }
-    if (msg == nullptr) {
-      if (lane.outbox_used == lane.outbox.size()) lane.outbox.emplace_back();
-      const auto slot = static_cast<std::uint32_t>(lane.outbox_used++);
-      msg = &lane.outbox[slot];
-      msg->arrival = arrival;
-      msg->dst_shard = dst;
-      msg->sender = sender;
-      msg->link_dst = kBroadcast;
-      msg->size_bytes = bytes;
-      lane.tx_out.emplace_back(dst, slot);
-    }
-    msg->receivers.push_back(cand);
-  }
-  // Park one payload reference per cross-shard slot (same-lane Ref copy);
-  // the barrier clones it into each destination lane's pools.
-  for (const auto& [dst, slot] : lane.tx_out) {
-    lane.outbox[slot].payload = payload;
-  }
-  if (lane.batch_pool[batch].empty()) {
-    lane_release_batch(lane, batch);
-    return;
-  }
-  Frame frame{sender, kBroadcast, bytes, std::move(payload)};
-  lane.sim->at(arrival, [this, batch, frame = std::move(frame)] {
-    sharded_deliver_batch(*tls_lane_, batch, frame);
-  });
-}
-
-void Network::sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
-                              FramePayloadPtr payload, std::size_t bytes) {
-  if (!alive(sender)) return;
-  NodeState& node = nodes_[sender];
-  node.energy.consume_tx(bytes);
-  note_energy_death(lane, sender);
-  ++lane.frames_tx;
-
-  const bool faulted = faults_frozen_;
-  if (!alive(neighbor) || !sharded_in_range(sender, neighbor) ||
-      (faulted && sharded_link_blacked_out(lane, sender, neighbor))) {
-    ++lane.frames_lost;
-    return;
-  }
-  const geo::Vec2 sp = index_.cached_position(sender);
-  const geo::Vec2 np = index_.cached_position(neighbor);
-  const bool lost = faulted ? channel_lost_faulted(lane.mac_rng, sp, np)
-                            : channel_lost(lane.mac_rng, sp, np);
-  if (lost) {
-    ++lane.frames_lost;
-    return;
-  }
-  const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = sharded_schedule_tx(lane, node, duration);
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
-  if (home_shard_[neighbor] == home_shard_[sender]) {
-    Frame frame{sender, neighbor, bytes, std::move(payload)};
-    lane.sim->at(arrival, [this, neighbor, frame = std::move(frame)] {
-      sharded_deliver(*tls_lane_, neighbor, frame);
-    });
-    return;
-  }
-  if (lane.outbox_used == lane.outbox.size()) lane.outbox.emplace_back();
-  OutMsg& msg = lane.outbox[lane.outbox_used++];
-  msg.arrival = arrival;
-  msg.dst_shard = home_shard_[neighbor];
-  msg.sender = sender;
-  msg.link_dst = neighbor;
-  msg.size_bytes = bytes;
-  msg.payload = std::move(payload);
-  msg.receivers.push_back(neighbor);
-}
-
-int Network::sharded_hop_distance(Lane& lane, NodeId a, NodeId b) {
-  // Grid BFS like the sequential fallback, but over cached positions and
-  // lane-owned scratch (the shared snapshot memo is global-clock state).
-  const std::size_t n = nodes_.size();
-  if (a >= n || b >= n) return graph::kUnreachable;
-  if (a == b) return 0;
-  if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  if (lane.grid_stamp.size() < n) {
-    lane.grid_stamp.resize(n, 0);
-    lane.grid_dist.resize(n);
-  }
-  const std::uint64_t gen = ++lane.grid_gen;
-  const double r2 = params_.range * params_.range;
-  lane.grid_queue.clear();
-  lane.grid_queue.push_back(a);
-  lane.grid_stamp[a] = gen;
-  lane.grid_dist[a] = 0;
-  for (std::size_t head = 0; head < lane.grid_queue.size(); ++head) {
-    const NodeId u = lane.grid_queue[head];
-    const int du = lane.grid_dist[u];
-    const geo::Vec2 up = index_.cached_position(u);
-    index_.candidates_near(up, lane.sim->now(), &lane.grid_cand);
-    for (const NodeId v : lane.grid_cand) {
-      if (lane.grid_stamp[v] == gen || v == u || !alive(v)) continue;
-      if (geo::distance2(up, index_.cached_position(v)) > r2) continue;
-      if (v == b) return du + 1;
-      lane.grid_stamp[v] = gen;
-      lane.grid_dist[v] = du + 1;
-      lane.grid_queue.push_back(v);
-    }
-  }
-  return graph::kUnreachable;
-}
-
-PayloadPools::Stats Network::pool_stats() const noexcept {
-  PayloadPools::Stats total = pools_.stats();
-  for (const Lane& lane : lanes_) {
-    const PayloadPools::Stats s = lane.pools->stats();
-    total.acquires += s.acquires;
-    total.slab_allocs += s.slab_allocs;
-    total.peak_live += s.peak_live;
-  }
-  return total;
-}
-
-std::uint64_t Network::frames_transmitted() const noexcept {
-  std::uint64_t total = frames_tx_;
-  for (const Lane& lane : lanes_) total += lane.frames_tx;
-  return total;
-}
-
-std::uint64_t Network::frames_delivered() const noexcept {
-  std::uint64_t total = frames_rx_;
-  for (const Lane& lane : lanes_) total += lane.frames_rx;
-  return total;
-}
-
-std::uint64_t Network::frames_lost() const noexcept {
-  std::uint64_t total = frames_lost_;
-  for (const Lane& lane : lanes_) total += lane.frames_lost;
-  return total;
 }
 
 }  // namespace p2p::net

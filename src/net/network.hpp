@@ -75,9 +75,6 @@ class Network {
   /// the leg has expired, so range filters, gray-zone distances and
   /// snapshots cost one interpolation each.
   geo::Vec2 position_of(NodeId id) {
-    // Keyed to the *global* clock — forbidden inside a shard window (use
-    // the index's cached positions there; see the sharded_* paths).
-    P2P_DASSERT(tls_lane_ == nullptr);
     P2P_ASSERT(id < legs_.size());
     return position_at(id, sim_->now());
   }
@@ -169,93 +166,18 @@ class Network {
 
   /// Per-run payload pools: every message this world sends is acquired
   /// here (see net/payload.hpp). Pools are holder-counted, so frames still
-  /// queued in the simulator keep their pools alive past ~Network. In
-  /// sharded mode a caller executing inside a shard window gets its lane's
-  /// private pools (non-atomic refcounts stay single-threaded); everyone
-  /// else — build, global events, collection — gets the base pools.
-  PayloadPools& pools() noexcept {
-    Lane* lane = tls_lane_;
-    return lane != nullptr ? *lane->pools : pools_;
-  }
-  const PayloadPools& pools() const noexcept {
-    Lane* lane = tls_lane_;
-    return lane != nullptr ? *lane->pools : pools_;
-  }
-  /// Aggregate pool stats over the base pools and every lane's pools.
-  PayloadPools::Stats pool_stats() const noexcept;
-
-  // ---- sharded (conservative parallel) execution ------------------------
-  // See sim/sharded.hpp for the execution model. The Network keeps ONE
-  // world (nodes, liveness, spatial index, blackouts) but splits the hot
-  // delivery path into per-shard *lanes*: each lane owns a Simulator, a
-  // mac RNG stream, payload pools, broadcast batches and scratch — so a
-  // shard's window runs without touching any other lane's mutable state.
-  // Cross-shard deliveries queue in a per-lane outbox and are merged at
-  // the window barrier in fixed shard order.
-  //
-  // Within a window, shared world state is read-only: liveness (down_) and
-  // the spatial index are frozen at the window start (begin_window), range
-  // checks use the index's cached positions (stale by <= the index
-  // tolerance — the same bound the candidate prune already compensates
-  // for), and battery deaths are deferred to the barrier. The sharded mode
-  // is therefore a (deterministic) model variant selected by the shard
-  // count, not a bit-identical replay of the sequential schedule — what IS
-  // bit-identical is the same shard count across any thread counts.
-
-  /// Deep-copies a frame payload (and any nested app payload) into `pools`.
-  /// Installed by the scenario layer, which sees the concrete payload
-  /// types; the net layer stays below routing.
-  using FrameCloner = FramePayloadPtr (*)(const FramePayload& src,
-                                          PayloadPools& pools);
-
-  /// Switch into sharded mode: one Simulator and one mac RNG stream per
-  /// shard, `home_shard[id]` the shard whose lane executes node id's
-  /// events. Must be called before any traffic; incompatible with a
-  /// NetObserver. Shard count must be >= 2 (a single shard is just the
-  /// sequential path).
-  void enable_sharding(std::vector<sim::Simulator*> shard_sims,
-                       std::vector<std::uint32_t> home_shard,
-                       std::vector<sim::RngStream> mac_rngs,
-                       FrameCloner cloner);
-  bool sharded() const noexcept { return !lanes_.empty(); }
-  std::uint32_t home_shard(NodeId id) const noexcept {
-    P2P_ASSERT(id < home_shard_.size());
-    return home_shard_[id];
-  }
-  /// Index of the lane bound to the calling thread, or kNoShard outside a
-  /// window — lets upper layers keep per-shard accumulators for state that
-  /// servents in different lanes would otherwise write concurrently.
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-  std::size_t current_shard() const noexcept {
-    const Lane* lane = tls_lane_;
-    return lane == nullptr ? kNoShard
-                           : static_cast<std::size_t>(lane - lanes_.data());
-  }
-
-  /// Executor hooks (wired by the scenario layer into
-  /// sim::ShardedExecutor::Callbacks). begin_window refreshes the spatial
-  /// index so it stays fresh through [start, end) and freezes the fault
-  /// gate; end_window drains every lane's outbox in shard order and
-  /// applies deferred liveness flips. enter/exit_shard bind the calling
-  /// thread's lane context.
-  void begin_window(sim::SimTime start, sim::SimTime end);
-  void end_window(sim::SimTime end);
-  void enter_shard(std::size_t shard) noexcept;
-  void exit_shard() noexcept;
+  /// queued in the simulator keep their pools alive past ~Network.
+  PayloadPools& pools() noexcept { return pools_; }
+  const PayloadPools& pools() const noexcept { return pools_; }
+  PayloadPools::Stats pool_stats() const noexcept { return pools_.stats(); }
 
   /// Attach a link-layer event observer (packet tracing); nullptr detaches.
-  /// Unsupported in sharded mode (per-frame callbacks would interleave
-  /// nondeterministically across lanes).
-  void set_observer(NetObserver* observer) noexcept {
-    P2P_ASSERT(lanes_.empty() || observer == nullptr);
-    observer_ = observer;
-  }
+  void set_observer(NetObserver* observer) noexcept { observer_ = observer; }
 
-  // Telemetry. In sharded mode these sum the per-lane counters (plus any
-  // sequential-path traffic from before/after the windows).
-  std::uint64_t frames_transmitted() const noexcept;
-  std::uint64_t frames_delivered() const noexcept;
-  std::uint64_t frames_lost() const noexcept;
+  // Telemetry.
+  std::uint64_t frames_transmitted() const noexcept { return frames_tx_; }
+  std::uint64_t frames_delivered() const noexcept { return frames_rx_; }
+  std::uint64_t frames_lost() const noexcept { return frames_lost_; }
 
   /// Approximate bytes held by the network layer: dense per-node arrays,
   /// the spatial index, adjacency/BFS scratch, broadcast batch pools, and
@@ -278,72 +200,6 @@ class Network {
     sim::SimTime next_free_tx = 0.0;
   };
 
-  // ---- sharded-mode state -----------------------------------------------
-  /// One cross-shard transmission: scheduled on the destination shard's
-  /// Simulator at the barrier. Receivers are in candidate order; slots are
-  /// reused across windows (payload Ref and receiver capacity recycle).
-  struct OutMsg {
-    sim::SimTime arrival = 0.0;
-    std::uint32_t dst_shard = 0;
-    NodeId sender = kInvalidNode;
-    NodeId link_dst = kBroadcast;
-    std::size_t size_bytes = 0;
-    FramePayloadPtr payload;
-    std::vector<NodeId> receivers;
-  };
-  /// Per-shard execution lane: everything the delivery hot path mutates,
-  /// privatized so a window runs without synchronization. Node state
-  /// (energy, tx serialization, listeners) is owned by the node's home
-  /// lane by construction — only that lane executes the node's events.
-  struct Lane {
-    Lane(sim::Simulator* s, sim::RngStream rng)
-        : sim(s),
-          mac_rng(std::move(rng)),
-          pools(std::make_unique<PayloadPools>()) {}
-    sim::Simulator* sim = nullptr;
-    sim::RngStream mac_rng;
-    std::unique_ptr<PayloadPools> pools;
-    std::vector<NodeId> scratch_candidates;
-    std::vector<std::vector<NodeId>> batch_pool;
-    std::vector<std::uint32_t> free_batches;
-    std::vector<OutMsg> outbox;
-    std::size_t outbox_used = 0;
-    /// (dst shard, outbox slot) pairs for the transmission being filtered
-    /// — receivers of one broadcast group into one OutMsg per shard.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> tx_out;
-    /// Nodes whose battery died inside the window; down_ flips at the
-    /// barrier (liveness is read-only while shards run).
-    std::vector<NodeId> pending_down;
-    // Grid-BFS scratch (physical_hop_distance inside a window).
-    std::vector<std::uint64_t> grid_stamp;
-    std::vector<int> grid_dist;
-    std::vector<NodeId> grid_queue;
-    std::vector<NodeId> grid_cand;
-    std::uint64_t grid_gen = 0;
-    std::uint64_t frames_tx = 0;
-    std::uint64_t frames_rx = 0;
-    std::uint64_t frames_lost = 0;
-  };
-
-  // Sharded delivery paths — mirror the sequential ones below but draw
-  // jitter/channel from the lane RNG, filter ranges against the index's
-  // cached positions, and defer liveness writes.
-  void sharded_broadcast(Lane& lane, NodeId sender, FramePayloadPtr payload,
-                         std::size_t bytes);
-  void sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
-                       FramePayloadPtr payload, std::size_t bytes);
-  void sharded_deliver(Lane& lane, NodeId receiver, const Frame& frame);
-  void sharded_deliver_batch(Lane& lane, std::uint32_t batch,
-                             const Frame& frame);
-  bool sharded_in_range(NodeId a, NodeId b) const noexcept;
-  int sharded_hop_distance(Lane& lane, NodeId a, NodeId b);
-  sim::SimTime sharded_schedule_tx(Lane& lane, NodeState& node,
-                                   double duration);
-  bool sharded_link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
-  void note_energy_death(Lane& lane, NodeId id);
-  std::uint32_t lane_acquire_batch(Lane& lane);
-  void lane_release_batch(Lane& lane, std::uint32_t batch);
-
   /// Position of `id` at `t` from its leg, fetching the next leg from the
   /// model only once `t` has run past the cached one. `t` must be
   /// non-decreasing per node (the mobility contract).
@@ -352,14 +208,9 @@ class Network {
     if (t >= leg.end) leg = nodes_[id].mobility->leg_at(t);
     return leg.at(t);
   }
-  /// Rebuild the spatial index from every node's position at `t` if it is
-  /// stale there. Sequential paths pass the global clock; sharded mode
-  /// passes the window start (the barrier instant — the only sharded-mode
-  /// point that may touch the mobility models), so there the index can
-  /// age up to one lookahead past the tolerance by the end of a window —
-  /// sub-millimetre extra drift at the defaults, absorbed by the candidate
-  /// prune's age compensation.
-  void refresh_index(sim::SimTime t);
+  /// Rebuild the spatial index from every node's position at now() if it
+  /// is stale there.
+  void refresh_index();
   /// Exact in-range receiver set for a transmission from `sender`.
   void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
@@ -424,15 +275,11 @@ class Network {
 
   /// One channel-level draw (base loss + gray zone) — the fault-free fast
   /// path; callers check faults_active() and take channel_lost_faulted()
-  /// instead while a burst may be in force. The stream is a parameter so
-  /// sequential paths draw from mac_rng_ and shard lanes from their own
-  /// stream with identical draw logic.
-  bool channel_lost(sim::RngStream& rng, const geo::Vec2& from,
-                    const geo::Vec2& to);
+  /// instead while a burst may be in force.
+  bool channel_lost(const geo::Vec2& from, const geo::Vec2& to);
   /// Same draw with the Gilbert-Elliott burst composed into the base loss.
   /// Identical RNG draw order to channel_lost() when burst_loss_ == 0.
-  bool channel_lost_faulted(sim::RngStream& rng, const geo::Vec2& from,
-                            const geo::Vec2& to);
+  bool channel_lost_faulted(const geo::Vec2& from, const geo::Vec2& to);
 
   /// Key of the unordered link {a,b} in the blackout ledger (lo in the
   /// high word so keys are unique per pair).
@@ -468,19 +315,6 @@ class Network {
   std::uint64_t frames_tx_ = 0;
   std::uint64_t frames_rx_ = 0;
   std::uint64_t frames_lost_ = 0;
-
-  // Sharded mode (empty lanes_ = sequential; see enable_sharding).
-  std::vector<Lane> lanes_;
-  std::vector<std::uint32_t> home_shard_;
-  FrameCloner cloner_ = nullptr;
-  /// Fault gate frozen for the current window (begin_window): windows must
-  /// not consult the self-clearing faults_active(), whose answer depends
-  /// on the global clock.
-  bool faults_frozen_ = false;
-  /// Lane bound to the executing thread between enter_shard/exit_shard;
-  /// null outside windows, which routes every dispatching entry point
-  /// (broadcast, unicast, pools, in_range, ...) to the sequential path.
-  static thread_local Lane* tls_lane_;
 };
 
 }  // namespace p2p::net

@@ -1,5 +1,6 @@
 #include "scenario/parameters.hpp"
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -25,8 +26,16 @@ std::string Parameters::apply(const util::Config& config) {
   const auto get_d = [&](const char* key, double* out) {
     const auto s = take(key);
     if (!s || !err.empty()) return;
-    if (const auto v = util::parse_double(*s)) *out = *v;
-    else err = std::string("key '") + key + "': invalid number '" + *s + "'";
+    const auto v = util::parse_double(*s);
+    if (!v) {
+      err = std::string("key '") + key + "': invalid number '" + *s + "'";
+    } else if (!std::isfinite(*v)) {
+      // NaN passes every range rule below (each comparison is false), and
+      // an infinite extent or rate reaches asserts and endless loops.
+      err = std::string("key '") + key + "': non-finite number '" + *s + "'";
+    } else {
+      *out = *v;
+    }
   };
   const auto get_u64 = [&](const char* key, std::uint64_t* out) {
     const auto s = take(key);
@@ -150,9 +159,6 @@ std::string Parameters::apply(const util::Config& config) {
   get_d("overlay_sample_interval_s", &overlay_sample_interval_s);
   get_d("join_stagger_s", &join_stagger_s);
 
-  get_sz("sim_threads", &sim_threads);
-  get_sz("sim_shards", &sim_shards);
-
   if (!err.empty()) return err;
   if (!pending.empty()) return "unknown key: " + *pending.begin();
 
@@ -201,16 +207,6 @@ std::string Parameters::apply(const util::Config& config) {
   if (invariant_check_interval_s < 0.0 || fault_monitor_interval_s < 0.0 ||
       overlay_sample_interval_s < 0.0 || join_stagger_s < 0.0) {
     return "intervals must be >= 0";
-  }
-  if (sim_threads == 0) return "sim_threads must be > 0";
-  if (fault.crash_run_enabled() && effective_sim_shards() > 1) {
-    return "crash_run_at requires sequential execution (sim_shards <= 1)";
-  }
-  // The invariant checker is a per-frame network observer, which
-  // concurrent shard lanes cannot share (see Network::set_observer).
-  if (invariant_check_interval_s > 0.0 && effective_sim_shards() > 1) {
-    return "invariant_check_interval requires sequential execution "
-           "(sim_shards <= 1)";
   }
   return {};
 }

@@ -87,28 +87,6 @@ struct Parameters {
   double overlay_sample_interval_s = 300.0;  // overlay-graph metric samples
   double join_stagger_s = 2.0;               // servents join within [0, x)
 
-  // ---- parallel execution (conservative sharded DES; sim/sharded.hpp) ----
-  // sim_threads is pure execution: any value >= 1 produces bit-identical
-  // results for a given shard count. sim_shards selects the MODEL — the
-  // spatial decomposition and per-shard RNG streams — so changing it (or
-  // letting it auto-derive differently) is a different deterministic
-  // schedule, like changing the seed. 1 thread with the default shard
-  // derivation (0) keeps the single-Simulator sequential path, byte-for-
-  // byte identical to pre-parallel builds.
-  std::size_t sim_threads = 1;
-  // 0 = auto: 1 shard when sim_threads == 1 (the legacy path); otherwise a
-  // population-scaled count (64 at >= 8192 nodes, else 8) independent of
-  // sim_threads so thread sweeps compare the same model.
-  std::size_t sim_shards = 0;
-
-  /// The shard count actually used for this scenario (resolves the 0-auto
-  /// rule above). 1 means sequential execution.
-  std::size_t effective_sim_shards() const noexcept {
-    if (sim_shards > 0) return sim_shards;
-    if (sim_threads <= 1) return 1;
-    return num_nodes >= 8192 ? 64 : 8;
-  }
-
   /// Number of P2P members for the current node count.
   std::size_t num_members() const noexcept {
     const auto m = static_cast<std::size_t>(

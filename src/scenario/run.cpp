@@ -15,8 +15,6 @@
 #include "mobility/gauss_markov.hpp"
 #include "mobility/random_direction.hpp"
 #include "mobility/random_waypoint.hpp"
-#include "scenario/payload_clone.hpp"
-#include "sim/sharded.hpp"
 #include "util/assert.hpp"
 
 namespace p2p::scenario {
@@ -29,19 +27,6 @@ SimulationRun::~SimulationRun() = default;
 void SimulationRun::build() {
   P2P_ASSERT_MSG(!built_, "build() called twice");
   built_ = true;
-
-  num_shards_ = params_.effective_sim_shards();
-  if (num_shards_ > 1) {
-    // The invariant checker is a per-frame NetObserver — incompatible with
-    // concurrent lanes (see Network::set_observer). Parameters::apply
-    // rejects the combination; this guards direct construction.
-    P2P_ASSERT_MSG(params_.invariant_check_interval_s == 0.0,
-                   "invariant checker requires sim_shards == 1");
-    shard_sims_.reserve(num_shards_);
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      shard_sims_.push_back(std::make_unique<sim::Simulator>());
-    }
-  }
 
   net::NetworkParams net_params;
   net_params.region = {params_.area_width, params_.area_height};
@@ -89,61 +74,23 @@ void SimulationRun::build() {
     network_->add_node(std::move(model), params_.energy);
   }
 
-  // Shard assignment: 2-D tiling of the region by t=0 positions. A node's
-  // home shard is FIXED for the whole run — correctness never depends on
-  // the tiling (cross-shard frames go through the barrier merge), only the
-  // cross-shard traffic ratio does, and under the paper's mobility bounds
-  // nodes drift slowly enough that the t=0 tiling keeps most frames
-  // in-lane for the full hour.
-  if (num_shards_ > 1) {
-    std::size_t lo = 1;  // largest divisor <= sqrt(num_shards_)
-    for (std::size_t d = 1; d * d <= num_shards_; ++d) {
-      if (num_shards_ % d == 0) lo = d;
-    }
-    const std::size_t hi = num_shards_ / lo;
-    const std::size_t cols = params_.area_width >= params_.area_height ? hi : lo;
-    const std::size_t rows = num_shards_ / cols;
-    const double tile_w = params_.area_width / static_cast<double>(cols);
-    const double tile_h = params_.area_height / static_cast<double>(rows);
-    home_shard_.resize(params_.num_nodes);
-    for (net::NodeId i = 0; i < params_.num_nodes; ++i) {
-      const geo::Vec2 pos = network_->position_of(i);
-      auto tx = static_cast<std::size_t>(pos.x / tile_w);
-      auto ty = static_cast<std::size_t>(pos.y / tile_h);
-      if (tx >= cols) tx = cols - 1;
-      if (ty >= rows) ty = rows - 1;
-      home_shard_[i] = static_cast<std::uint32_t>(ty * cols + tx);
-    }
-    std::vector<sim::Simulator*> raw_sims;
-    std::vector<sim::RngStream> mac_rngs;
-    raw_sims.reserve(num_shards_);
-    mac_rngs.reserve(num_shards_);
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      raw_sims.push_back(shard_sims_[s].get());
-      mac_rngs.push_back(rngs_.stream("mac", s));
-    }
-    network_->enable_sharding(std::move(raw_sims), home_shard_,
-                              std::move(mac_rngs), &clone_frame_payload);
-  }
-
-  // Routing stack, each agent on its node's home Simulator.
+  // Routing stack.
   for (std::size_t i = 0; i < params_.num_nodes; ++i) {
     const auto id = static_cast<net::NodeId>(i);
-    sim::Simulator& node_sim = sim_for(id);
     if (params_.routing_protocol == RoutingProtocol::kDsdv) {
       // Each agent attaches itself to the network as a LinkListener.
-      auto agent = std::make_unique<routing::DsdvAgent>(node_sim, *network_,
+      auto agent = std::make_unique<routing::DsdvAgent>(sim_, *network_,
                                                         id, params_.dsdv);
       routing_.push_back(std::move(agent));
     } else if (params_.routing_protocol == RoutingProtocol::kDsr) {
       routing_.push_back(std::make_unique<routing::DsrAgent>(
-          node_sim, *network_, id, params_.dsr));
+          sim_, *network_, id, params_.dsr));
     } else {
       routing_.push_back(std::make_unique<routing::AodvAgent>(
-          node_sim, *network_, id, params_.aodv));
+          sim_, *network_, id, params_.aodv));
     }
     flood_.push_back(std::make_unique<routing::FloodService>(
-        node_sim, *network_, id, routing_.back().get()));
+        sim_, *network_, id, routing_.back().get()));
   }
 
   // Pick the P2P members: a seeded random subset of 75% of the nodes.
@@ -169,10 +116,6 @@ void SimulationRun::build() {
   placement_ = std::make_unique<content::Placement>(
       law, static_cast<std::uint32_t>(m), rngs_.stream("placement"));
   per_file_.assign(params_.num_files, FileRankStats{});
-  if (num_shards_ > 1) {
-    per_file_lanes_.assign(num_shards_,
-                           std::vector<FileRankStats>(params_.num_files));
-  }
 
   // Qualifiers (Hybrid): a capability ranking over the members.
   std::vector<std::uint32_t> qualifiers(m);
@@ -194,7 +137,7 @@ void SimulationRun::build() {
   for (std::size_t idx = 0; idx < m; ++idx) {
     const net::NodeId id = members_[idx];
     core::ServentContext ctx;
-    ctx.sim = &sim_for(id);
+    ctx.sim = &sim_;
     ctx.net = network_.get();
     ctx.routing = routing_[id].get();
     ctx.flood = flood_[id].get();
@@ -208,15 +151,14 @@ void SimulationRun::build() {
     servents_.push_back(std::move(servent));
   }
 
-  // Joins staggered within [0, join_stagger_s); each join runs on the
-  // member's home Simulator so its whole protocol cascade stays in-lane.
+  // Joins staggered within [0, join_stagger_s).
   auto join_rng = rngs_.stream("join");
   for (std::size_t idx = 0; idx < servents_.size(); ++idx) {
     const double offset = params_.join_stagger_s > 0.0
                               ? join_rng.uniform(0.0, params_.join_stagger_s)
                               : 0.0;
     core::Servent* raw = servents_[idx].get();
-    sim_for(members_[idx]).at(offset, [raw] { raw->start(); });
+    sim_.at(offset, [raw] { raw->start(); });
   }
 
   // Periodic overlay sampling via a self-rescheduling functor.
@@ -298,11 +240,8 @@ void SimulationRun::build() {
   }
 
   // Injected worker crash: abort the repetition itself at a fixed sim
-  // time. Sequential execution only — the exception must unwind on the
-  // thread that called run() (Parameters::apply rejects it when sharded).
+  // time; the exception unwinds out of run() on the calling thread.
   if (params_.fault.crash_run_enabled()) {
-    P2P_ASSERT_MSG(num_shards_ == 1,
-                   "fault crash_run_at requires sequential execution");
     sim_.after(params_.fault.crash_run_at_s, [] {
       throw std::runtime_error(
           "injected worker crash (fault crash_run_at)");
@@ -404,12 +343,7 @@ void SimulationRun::on_request_complete(core::FileId file, int answers,
                                         int min_physical_hops,
                                         int min_p2p_hops) {
   P2P_ASSERT(file >= 1 && file <= per_file_.size());
-  // Inside a shard window this runs concurrently with other lanes:
-  // accumulate into the calling lane's private copy (merged at collect).
-  const std::size_t shard = network_->current_shard();
-  FileRankStats& stats = shard == net::Network::kNoShard
-                             ? per_file_[file - 1]
-                             : per_file_lanes_[shard][file - 1];
+  FileRankStats& stats = per_file_[file - 1];
   ++stats.requests;
   if (answers > 0) {
     ++stats.answered;
@@ -437,24 +371,7 @@ net::NodeId SimulationRun::member_node(std::size_t member_index) const {
 
 RunResult SimulationRun::run() {
   if (!built_) build();
-  if (num_shards_ > 1) {
-    std::vector<sim::Simulator*> shards;
-    shards.reserve(shard_sims_.size());
-    for (const auto& s : shard_sims_) shards.push_back(s.get());
-    sim::ShardedExecutor executor(std::move(shards), &sim_,
-                                  net::min_frame_latency(params_.mac),
-                                  params_.sim_threads);
-    sim::ShardedExecutor::Callbacks cb;
-    cb.before_window = [this](sim::SimTime start, sim::SimTime end) {
-      network_->begin_window(start, end);
-    };
-    cb.after_window = [this](sim::SimTime end) { network_->end_window(end); };
-    cb.enter_shard = [this](std::size_t s) { network_->enter_shard(s); };
-    cb.exit_shard = [this] { network_->exit_shard(); };
-    executor.run(params_.duration_s, cb);
-  } else {
-    sim_.run_until(params_.duration_s);
-  }
+  sim_.run_until(params_.duration_s);
   return collect();
 }
 
@@ -468,22 +385,6 @@ RunResult SimulationRun::collect() {
     result.connections_established += servent->connections_established();
     result.connections_closed += servent->connections_closed();
   }
-  // Fold per-lane request stats into the sequential accumulator (pure
-  // sums, so the merge is exact and order-free).
-  for (const auto& lane : per_file_lanes_) {
-    for (std::size_t f = 0; f < lane.size(); ++f) {
-      FileRankStats& dst = per_file_[f];
-      const FileRankStats& src = lane[f];
-      dst.requests += src.requests;
-      dst.answered += src.answered;
-      dst.answers_total += src.answers_total;
-      dst.sum_min_physical += src.sum_min_physical;
-      dst.physical_samples += src.physical_samples;
-      dst.sum_min_p2p += src.sum_min_p2p;
-      dst.p2p_samples += src.p2p_samples;
-    }
-  }
-  per_file_lanes_.clear();
   result.per_file = per_file_;
 
   result.frames_transmitted = network_->frames_transmitted();
@@ -497,27 +398,16 @@ RunResult SimulationRun::collect() {
     result.data_delivered += telemetry.data_delivered;
     result.data_dropped += telemetry.data_dropped;
   }
-  // Sharded runs sum over the global queue plus every shard queue: event
-  // counts are additive, and the summed per-queue high-water marks bound
-  // (and in practice track) total resident events.
   result.events_processed = sim_.events_processed();
   result.peak_queue_depth = sim_.peak_events_pending();
-  const auto add_queue_stats = [&result](const sim::Simulator& s) {
-    const sim::EventQueue::Stats& q = s.queue_stats();
-    result.queue_pushes += s.events_scheduled();
-    result.queue_pops += q.pops;
-    result.queue_tombstones_purged += q.tombstones_purged;
-    result.queue_compactions += q.compactions;
-    result.queue_ladder_spills += q.ladder_spills;
-    result.queue_ladder_rebuckets += q.ladder_rebuckets;
-    result.queue_peak_raw += s.peak_raw_events_pending();
-  };
-  add_queue_stats(sim_);
-  for (const auto& shard : shard_sims_) {
-    result.events_processed += shard->events_processed();
-    result.peak_queue_depth += shard->peak_events_pending();
-    add_queue_stats(*shard);
-  }
+  const sim::EventQueue::Stats& q = sim_.queue_stats();
+  result.queue_pushes = sim_.events_scheduled();
+  result.queue_pops = q.pops;
+  result.queue_tombstones_purged = q.tombstones_purged;
+  result.queue_compactions = q.compactions;
+  result.queue_ladder_spills = q.ladder_spills;
+  result.queue_ladder_rebuckets = q.ladder_rebuckets;
+  result.queue_peak_raw = sim_.peak_raw_events_pending();
 
   result.net_memory_bytes = network_->memory_bytes();
   for (const auto& agent : routing_) {

@@ -74,10 +74,9 @@ struct RunResult {
   std::uint64_t events_processed = 0;
   std::size_t peak_queue_depth = 0;  // event-queue high-water mark (live)
 
-  // Event-queue operation counters, summed over the main Simulator and
-  // every shard (sim::EventQueue::Stats). Fixed-seed deterministic and
-  // thread-count invariant — the pop order, and hence every push/pop/
-  // cancel a run performs, is identical across thread counts.
+  // Event-queue operation counters (sim::EventQueue::Stats). Fixed-seed
+  // deterministic — the pop order, and hence every push/pop/cancel a run
+  // performs, is a pure function of the parameters.
   // queue_peak_raw is the physical-storage high-water mark (tombstones
   // included, so it depends on purge timing, unlike the live
   // peak_queue_depth above).
@@ -182,8 +181,6 @@ class SimulationRun final : public core::QueryRecorder {
   void build();
   sim::Simulator& simulator() noexcept { return sim_; }
   net::Network& network() noexcept { return *network_; }
-  /// Shard count this run executes with (1 = sequential single-Simulator).
-  std::size_t shard_count() const noexcept { return num_shards_; }
   core::Servent& servent(std::size_t member_index);
   std::size_t member_count() const noexcept { return members_.size(); }
   net::NodeId member_node(std::size_t member_index) const;
@@ -213,22 +210,10 @@ class SimulationRun final : public core::QueryRecorder {
   void sample_overlay();
   void fault_monitor_tick();
   RunResult collect();
-  /// The Simulator node `id`'s events run on: its home shard's when
-  /// sharded, the single sequential one otherwise.
-  sim::Simulator& sim_for(net::NodeId id) noexcept {
-    return num_shards_ > 1 ? *shard_sims_[home_shard_[id]] : sim_;
-  }
 
   Parameters params_;
   sim::RngManager rngs_;
-  sim::Simulator sim_;  // sequential world; global (non-node) events when sharded
-  // Sharded execution (effective_sim_shards() > 1): one Simulator per
-  // spatial shard, every node's events on its home shard's queue. Declared
-  // before network_ (like sim_) so queued frames outlive nothing they use;
-  // lane pools are holder-counted past ~Network either way.
-  std::vector<std::unique_ptr<sim::Simulator>> shard_sims_;
-  std::vector<std::uint32_t> home_shard_;  // node -> shard (empty when seq.)
-  std::size_t num_shards_ = 1;
+  sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<routing::RoutingService>> routing_;
   std::vector<std::unique_ptr<routing::FloodService>> flood_;
@@ -240,10 +225,6 @@ class SimulationRun final : public core::QueryRecorder {
   std::vector<std::unique_ptr<core::Servent>> servents_;
   std::unique_ptr<content::Placement> placement_;
   std::vector<FileRankStats> per_file_;
-  // Per-shard request stats: on_request_complete fires from servent code
-  // inside shard windows, where lanes run concurrently — each lane
-  // accumulates privately and collect() merges (pure sums, order-free).
-  std::vector<std::vector<FileRankStats>> per_file_lanes_;
   std::vector<graph::SmallWorldMetrics> overlay_samples_;
 
   // Fault machinery (constructed only when enabled — zero-cost otherwise).

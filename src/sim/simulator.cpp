@@ -31,20 +31,4 @@ std::uint64_t Simulator::run_until(SimTime until) {
   return processed;
 }
 
-std::uint64_t Simulator::run_window(SimTime end) {
-  std::uint64_t processed = 0;
-  stopped_ = false;
-  while (!stopped_) {
-    const SimTime t = queue_.next_time();
-    if (t == kTimeNever || t >= end) break;
-    auto ev = queue_.pop();
-    P2P_DASSERT(ev.time >= now_);
-    now_ = ev.time;
-    ev.fn();
-    ++processed;
-    ++events_processed_;
-  }
-  return processed;
-}
-
 }  // namespace p2p::sim

@@ -37,19 +37,6 @@ class Simulator {
   /// events processed by this call.
   std::uint64_t run_until(SimTime until);
 
-  /// Run events with time strictly below `end`, leaving now() at the last
-  /// processed event. Events at or beyond `end` stay queued. This is the
-  /// per-shard primitive of conservative windowed execution (sharded.hpp):
-  /// an event exactly at a window boundary belongs to the next window,
-  /// where the global-vs-shard ordering decision at that instant is
-  /// re-made. Unlike run_until, the clock is NOT advanced to `end` — the
-  /// executor owns clock advancement across windows.
-  std::uint64_t run_window(SimTime end);
-
-  /// Earliest pending event time, or kTimeNever when the queue is empty.
-  /// (Non-const: purges cancelled tombstones sitting at the queue front.)
-  SimTime next_event_time() noexcept { return queue_.next_time(); }
-
   /// Run until the queue drains.
   std::uint64_t run() { return run_until(kTimeNever); }
 

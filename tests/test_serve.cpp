@@ -239,10 +239,15 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"num_nodes\":0}}", "\"code\":\"bad_config\""},
       {"{\"config\":{\"mac_loss_probability\":1.5}}",
        "\"code\":\"bad_config\""},
-      // Well-formed, but the run layer cannot execute it (per-frame
-      // invariant checking under sharding): refused before any worker.
+      // sim_shards named the deleted intra-run parallel executor; an old
+      // client sending it gets a named unknown-key error.
       {"{\"config\":{\"num_nodes\":20,\"duration_s\":5,\"sim_shards\":2,"
        "\"invariant_check_interval\":1},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
+      // NaN passes every range rule (each comparison is false) and would
+      // reach an assert that aborts the whole daemon: refused by name.
+      {"{\"config\":{\"num_nodes\":20,\"duration_s\":5,"
+       "\"radio_range\":\"nan\"},\"seeds\":[1]}",
        "\"code\":\"bad_config\""},
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
   };

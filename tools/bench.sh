@@ -22,24 +22,15 @@
 #   tools/bench.sh --compare <label-a> <label-b> [--threshold PCT]
 #       Compare the headline throughput (ops/frames/queries _per_sec) of
 #       label-b against label-a for every bench that has records under both
-#       labels (the most recent record per label wins). Records made with
-#       different sim_threads counts are never paired: a record's "threads"
-#       field (absent = 1) is part of the comparison key, so a 4-thread
-#       run only ever compares against another 4-thread run — parallel
-#       speedup must not masquerade as (or mask) a hot-path change.
+#       labels (the most recent record per label wins). Historical records
+#       of the since-deleted intra-run parallel executor carry a "threads"
+#       field (absent = 1); it stays part of the comparison key so such a
+#       record never pairs with a sequential one.
 #       Exit 1 if any bench is more than PCT slower in label-b (default 5),
 #       or if any paired bench's peak_queue counter differs between the
-#       labels: peak_queue is a fixed-seed determinism counter (identical
-#       on both queue backends and every thread count), so drift means the
-#       event history changed — a correctness failure, not a perf delta.
-#   tools/bench.sh --threads <list> [label] [--smoke]
-#       Thread-scaling sweep: run the megascale tier once per thread count
-#       in <list> (comma-separated, e.g. 1,2,4,8) with the shard
-#       decomposition pinned (--sim-shards 64), append every record under
-#       the single given label to BENCH_megascale.json, and print a
-#       speedup/efficiency table (events/s per scale per thread count,
-#       baseline = the sweep's own 1-thread run). --smoke sweeps the
-#       bounded 10k smoke slice instead of the full 10k/50k/100k tier.
+#       labels: peak_queue is a fixed-seed determinism counter, so drift
+#       means the event history changed — a correctness failure, not a
+#       perf delta.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -82,11 +73,9 @@ if [ "${1:-}" = "--compare" ]; then
       if (match($0, /"label":"[^"]*"/)) {
         label = substr($0, RSTART + 9, RLENGTH - 10)
       }
-      # Thread count is part of the identity of a record: a parallel run
-      # and a sequential run of the same bench are different experiments
-      # ("threads" is emitted only when > 1; absent means 1). Suffixing
-      # the key pairs like with like and reports unmatched thread counts
-      # as one-sided records instead of comparing apples to oranges.
+      # Historical parallel-executor records ("threads" > 1) are different
+      # experiments from sequential ones: suffixing the key keeps them
+      # apart and reports them as one-sided records.
       if (match($0, /"threads":[0-9]+/)) {
         t = substr($0, RSTART + 10, RLENGTH - 10) + 0
         if (t > 1) bench = bench "@t" t
@@ -102,8 +91,7 @@ if [ "${1:-}" = "--compare" ]; then
       }
       # peak_queue is a fixed-seed counter (live high-water mark of the
       # event queue), not a throughput: identical workload => identical
-      # value, on either queue backend and any thread count. Track it per
-      # (bench, label) so the END block can flag drift as determinism
+      # value. Track it per (bench, label) so the END block can flag drift as determinism
       # breakage, not as a perf delta.
       pq = ""
       if (match($0, /"peak_queue":[0-9]+/)) {
@@ -155,8 +143,8 @@ if [ "${1:-}" = "--compare" ]; then
         # peak_queue drift between labels of the same workload means the
         # event history itself changed — a determinism break (or an
         # unflagged model change), never a legitimate perf delta. Hard
-        # failure: a backend or parallelism change must reproduce the
-        # pending-set high-water mark exactly.
+        # failure: a pure speed change must reproduce the pending-set
+        # high-water mark exactly.
         if ((bench in pa) && (bench in pb) && pa[bench] != pb[bench]) {
           flag = flag sprintf("  << PEAK_QUEUE DRIFT (%d -> %d)",
                               pa[bench], pb[bench])
@@ -181,91 +169,6 @@ if [ "${1:-}" = "--compare" ]; then
     }
   ' "$@"
   exit $?
-fi
-
-if [ "${1:-}" = "--threads" ]; then
-  shift
-  if [ $# -lt 1 ]; then
-    echo "usage: tools/bench.sh --threads <list> [label] [--smoke]" >&2
-    exit 2
-  fi
-  threads_list="$1"
-  shift
-  sweep_label=""
-  sweep_smoke=""
-  while [ $# -gt 0 ]; do
-    case "$1" in
-      --smoke) sweep_smoke="--smoke" ;;
-      *) sweep_label="$1" ;;
-    esac
-    shift
-  done
-  [ -n "$sweep_label" ] || \
-    sweep_label="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo dev)"
-
-  cmake --preset bench -S "$repo" >/dev/null
-  cmake --build --preset bench -j --target megascale >/dev/null
-
-  sweep_raw="${TMPDIR:-/tmp}/bench_sweep_$$.jsonl"
-  trap 'rm -f "$sweep_raw"' EXIT
-  : > "$sweep_raw"
-  # Every sweep run pins --sim-shards 64: the shard decomposition is a
-  # model parameter, so the whole sweep (the 1-thread baseline included)
-  # replays ONE event history and differs only in who executes it — the
-  # speedups below are pure execution scaling, and every counter column
-  # is bit-identical across rows by construction.
-  for t in $(echo "$threads_list" | tr ',' ' '); do
-    echo "== megascale sweep: sim_threads=$t =="
-    "$repo/build-bench/bench/megascale" --label "$sweep_label" \
-      --sim-threads "$t" --sim-shards 64 $sweep_smoke \
-      --out "$repo/BENCH_megascale.json" | tee -a "$sweep_raw"
-  done
-
-  echo
-  echo "thread scaling (label '$sweep_label', sim_shards=64, host: $(nproc) core(s))"
-  awk '
-    {
-      bench = ""; rate = ""; t = 1
-      if (match($0, /"bench":"[^"]*"/)) {
-        bench = substr($0, RSTART + 9, RLENGTH - 10)
-      }
-      if (match($0, /"events_per_sec":[0-9.]+/)) {
-        rate = substr($0, RSTART + 17, RLENGTH - 17) + 0
-      }
-      if (match($0, /"threads":[0-9]+/)) {
-        t = substr($0, RSTART + 10, RLENGTH - 10) + 0
-      }
-      if (bench == "" || rate == "") next
-      rates[bench, t] = rate
-      if (!(bench in seen)) { seen[bench] = 1; order[++n] = bench }
-      if (!((t, "t") in tseen)) { tseen[t, "t"] = 1; tlist[++tn] = t }
-    }
-    END {
-      for (i = 2; i <= tn; ++i) {
-        for (j = i; j > 1 && tlist[j] < tlist[j-1]; --j) {
-          x = tlist[j]; tlist[j] = tlist[j-1]; tlist[j-1] = x
-        }
-      }
-      printf "%-22s %8s %14s %9s %11s\n",
-             "bench", "threads", "events_per_s", "speedup", "efficiency"
-      for (i = 1; i <= n; ++i) {
-        bench = order[i]
-        base = rates[bench, 1]
-        for (k = 1; k <= tn; ++k) {
-          t = tlist[k]
-          if (!((bench, t) in rates)) continue
-          r = rates[bench, t]
-          if (base > 0) {
-            printf "%-22s %8d %14.0f %8.2fx %10.0f%%\n",
-                   bench, t, r, r / base, r / base / t * 100.0
-          } else {
-            printf "%-22s %8d %14.0f %9s %11s\n", bench, t, r, "-", "-"
-          }
-        }
-      }
-    }
-  ' "$sweep_raw"
-  exit 0
 fi
 
 label="${1:-$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo dev)}"

@@ -45,7 +45,7 @@ done
 awk '{
   line = $0
   out = ""
-  while (match(line, /"(bench|ops|frames|queries|answers|connect_msgs|msgs|events|frames_delivered|peak_queue|threads|sim_shards)":("[^"]*"|[0-9]+)/)) {
+  while (match(line, /"(bench|ops|frames|queries|answers|connect_msgs|msgs|events|frames_delivered|peak_queue)":("[^"]*"|[0-9]+)/)) {
     pair = substr(line, RSTART, RLENGTH)
     out = (out == "") ? pair : out " " pair
     line = substr(line, RSTART + RLENGTH)
