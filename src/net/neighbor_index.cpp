@@ -1,10 +1,18 @@
 #include "net/neighbor_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assert.hpp"
 
 namespace p2p::net {
+
+namespace {
+// Cells along one side of the region (at least one).
+double cells_along(double extent, double cell_size) noexcept {
+  return std::max(1.0, std::floor(extent / cell_size));
+}
+}  // namespace
 
 NeighborIndex::NeighborIndex(geo::Region region, double range,
                              double tolerance_s, double max_speed)
@@ -19,12 +27,17 @@ NeighborIndex::NeighborIndex(geo::Region region, double range,
   // around a query point is guaranteed to contain every true neighbor even
   // with stale indexed positions.
   cell_size_ = range + drift_margin_;
-  cols_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(region.width / cell_size_));
-  rows_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(region.height / cell_size_));
+  P2P_ASSERT(grid_cells(region, cell_size_) <= kMaxCells);
+  cols_ = static_cast<std::size_t>(cells_along(region.width, cell_size_));
+  rows_ = static_cast<std::size_t>(cells_along(region.height, cell_size_));
   cell_start_.resize(cols_ * rows_ + 1, 0);
   cell_fill_.resize(cols_ * rows_, 0);
+}
+
+double NeighborIndex::grid_cells(geo::Region region,
+                                 double cell_size) noexcept {
+  return cells_along(region.width, cell_size) *
+         cells_along(region.height, cell_size);
 }
 
 std::size_t NeighborIndex::cell_of(geo::Vec2 p) const noexcept {

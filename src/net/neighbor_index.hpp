@@ -30,6 +30,16 @@ namespace p2p::net {
 
 class NeighborIndex {
  public:
+  /// Largest grid the index builds (~2048 x 2048 cells, 32 MB of CSR
+  /// offsets). A 100k-node world at paper density needs ~447 x 447.
+  static constexpr double kMaxCells = 4194304.0;
+
+  /// Cells in the grid over `region` for a cell side of `cell_size`, as a
+  /// double so an absurd region cannot overflow the count.
+  static double grid_cells(geo::Region region, double cell_size) noexcept;
+
+  /// Asserts that the grid has at most kMaxCells cells (callers that take
+  /// the region and range from outside validate them first).
   NeighborIndex(geo::Region region, double range, double tolerance_s,
                 double max_speed);
 

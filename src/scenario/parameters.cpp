@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/factory.hpp"
+#include "net/neighbor_index.hpp"
 #include "util/strings.hpp"
 
 namespace p2p::scenario {
@@ -171,6 +172,14 @@ std::string Parameters::apply(const util::Config& config) {
     return "area dimensions must be > 0";
   }
   if (radio_range <= 0.0) return "radio_range must be > 0";
+  // The spatial index's cells are at least radio_range wide.
+  if (net::NeighborIndex::grid_cells({area_width, area_height}, radio_range) >
+      net::NeighborIndex::kMaxCells) {
+    return "area too large for radio_range: the neighbor grid would exceed " +
+           std::to_string(
+               static_cast<std::uint64_t>(net::NeighborIndex::kMaxCells)) +
+           " cells";
+  }
   if (duration_s <= 0.0) return "duration_s must be > 0";
   if (p2p_fraction <= 0.0 || p2p_fraction > 1.0) {
     return "p2p_fraction must be in (0, 1]";

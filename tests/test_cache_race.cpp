@@ -127,7 +127,7 @@ TEST_F(CacheRaceTest, TornOrCorruptFilesReadAsMiss) {
     bytes.assign(std::istreambuf_iterator<char>(f), {});
   }
   ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v3 ", 0), 0U)
+  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v4 ", 0), 0U)
       << "entry header changed — bump the version instead";
 
   const auto overwrite = [&](const std::string& content) {
@@ -160,11 +160,11 @@ TEST_F(CacheRaceTest, TornOrCorruptFilesReadAsMiss) {
 }
 
 // Served lines changed bytes without a key change: queue and
-// routing-memory counters at seed-v2, net_memory_bytes at seed-v3. An
-// intact entry of any previous format must read as a miss, never be
-// replayed as this code's answer.
+// routing-memory counters at seed-v2, net_memory_bytes at seed-v3,
+// routing_memory_bytes at seed-v4. An intact entry of any previous format
+// must read as a miss, never be replayed as this code's answer.
 TEST_F(CacheRaceTest, PreviousSeedTagsReadAsMiss) {
-  for (const char* old_tag : {"seed-v1", "seed-v2"}) {
+  for (const char* old_tag : {"seed-v1", "seed-v2", "seed-v3"}) {
     const auto params = params_for(9);
     const std::string path = scenario::seed_cache_path(params);
     const std::string payload = "{\"type\":\"seed\",\"seed\":9}\n";
@@ -186,7 +186,7 @@ TEST_F(CacheRaceTest, PreviousSeedTagsReadAsMiss) {
     std::ifstream f(path, std::ios::binary);
     std::string header;
     std::getline(f, header);
-    EXPECT_EQ(header.rfind("p2pmanet-cache seed-v3 ", 0), 0U) << header;
+    EXPECT_EQ(header.rfind("p2pmanet-cache seed-v4 ", 0), 0U) << header;
   }
 }
 

@@ -169,6 +169,29 @@ TEST(Parameters, ApplyRejectsOutOfRangeValues) {
   expect_rejects("min_speed", "5");
 }
 
+TEST(Parameters, ApplyRejectsAreaBeyondNeighborGridCap) {
+  // The spatial index lays a grid of radio_range-sized cells over the
+  // area. A finite but huge area (1e300 m) used to overflow the cell count
+  // and crash the run; any grid past the cap is now a named error.
+  const auto apply = [](const char* width, const char* height,
+                        const char* range) {
+    util::Config config;
+    config.set("area_width", width);
+    config.set("area_height", height);
+    config.set("radio_range", range);
+    return Parameters{}.apply(config);
+  };
+  const std::string err = apply("1e300", "100", "10");
+  EXPECT_NE(err.find("area"), std::string::npos) << err;
+  EXPECT_NE(err.find("radio_range"), std::string::npos) << err;
+  EXPECT_NE(apply("100", "100", "1e-300"), "");
+  // Exactly at the cap (2048 x 2048 cells) is fine, one column more is not.
+  EXPECT_EQ(apply("20480", "20480", "10"), "");
+  EXPECT_NE(apply("20490", "20480", "10"), "");
+  // The 100k-node megascale tier at paper density: ~447 x 447 cells.
+  EXPECT_EQ(apply("4472.2", "4472.2", "10"), "");
+}
+
 TEST(Parameters, ApplyReportsFirstProblemAndAppliesNothingAfter) {
   // A config with both a bad value and a later unknown key reports the
   // parse problem (getters run first), not a misleading unknown-key

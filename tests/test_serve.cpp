@@ -249,6 +249,11 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"num_nodes\":20,\"duration_s\":5,"
        "\"radio_range\":\"nan\"},\"seeds\":[1]}",
        "\"code\":\"bad_config\""},
+      // A finite but huge area overflowed the spatial index's cell count
+      // and crashed the daemon: refused by name.
+      {"{\"config\":{\"num_nodes\":20,\"duration_s\":5,"
+       "\"area_width\":1e300},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
   };
 
