@@ -11,10 +11,9 @@
 // installs via RoutingTable::update, RREP unicasts along precursors, and
 // RERR sweeps (destinations_via) when a moving next hop breaks a link.
 //
-// Emits the same JSONL records as bench/hotpath.cpp (headline unit:
-// delivered frames/s, dominated by RREQ flood fan-out); tools/bench.sh
-// appends them to BENCH_hotpath.json under the bench name
-// "hotpath.aodv_storm".
+// Emits the same JSON records as bench/hotpath.cpp (headline unit:
+// delivered frames/s, dominated by RREQ flood fan-out) under the bench
+// name "hotpath.aodv_storm".
 //
 // Usage: aodv_storm [--label NAME] [--out FILE] [--smoke] [--repeat N]
 #include <algorithm>

@@ -14,7 +14,7 @@
 // shrinks as n grows so the tier stays runnable; counters remain
 // fixed-seed reproducible at every scale.
 //
-// Reported per record (appended to BENCH_megascale.json):
+// Reported per record (perf_record.hpp format):
 //   frames_per_sec   headline throughput (delivered link frames / wall s)
 //   queries_per_sec  end-to-end overlay throughput rides along
 //   peak_rss_mb      OS-reported process high-water mark — THE mega-scale

@@ -1,11 +1,13 @@
-// Shared scaffolding for the self-timed perf-regression binaries
-// (bench/hotpath.cpp, bench/aodv_storm.cpp): the JSONL record format that
-// tools/bench.sh appends to BENCH_kernel.json / BENCH_hotpath.json, and
-// the common command-line surface (--label/--out/--smoke/--repeat).
+// Shared scaffolding for the self-timed perf binaries (hotpath,
+// aodv_storm, overlay_storm, megascale, serve_smoke): one JSON record per
+// workload on stdout, also appended to the --out file when given, and the
+// common command-line surface (--label/--out/--smoke/--repeat).
 //
 // Wall time is the only nondeterministic field — workloads are fixed-seed
 // so counters (ops, events, frames_delivered, peak_queue) are reproducible
-// across runs and machines, which is what the bench_guard ctest asserts.
+// across runs and machines, which is what the bench_guard ctest asserts
+// (it runs every binary with --smoke --label guard --out <tmp>). Timing
+// claims are perfbench's job (perfbench/run.py, perfbench/compare.py).
 #pragma once
 
 #include <chrono>
@@ -73,7 +75,7 @@ struct Record {
   /// Extra fixed-seed counter beyond the headline unit (e.g. the overlay
   /// storm's answers / connect_msgs). `rate` additionally emits
   /// "<name>_per_sec" so secondary throughputs (msgs_per_sec) ride along
-  /// without becoming the compare-mode headline.
+  /// beside the headline unit.
   struct Extra {
     std::string name;
     std::uint64_t value = 0;

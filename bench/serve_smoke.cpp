@@ -5,8 +5,7 @@
 // measured loop is exactly the daemon's steady state for repeated
 // identical experiments: JSON parse, config validation, canonical-key
 // hashing, checksummed cache read, response assembly. Record format and
-// flags match the other perf binaries (perf_record.hpp); tools/bench.sh
-// appends the record to BENCH_serve.json.
+// flags match the other perf binaries (perf_record.hpp).
 #include <string>
 
 #include "perf_record.hpp"

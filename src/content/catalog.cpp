@@ -41,15 +41,6 @@ bool Placement::holds(std::uint32_t member, FileId file) const {
   return (holdings_[member] >> (file - 1)) & 1ULL;
 }
 
-std::vector<FileId> Placement::files_of(std::uint32_t member) const {
-  P2P_ASSERT(member < holdings_.size());
-  std::vector<FileId> out;
-  for (FileId k = 1; k <= num_files_; ++k) {
-    if ((holdings_[member] >> (k - 1)) & 1ULL) out.push_back(k);
-  }
-  return out;
-}
-
 std::uint32_t Placement::copies_of(FileId file) const {
   P2P_ASSERT(file >= 1 && file <= num_files_);
   std::uint32_t count = 0;

@@ -27,9 +27,6 @@ class Placement {
 
   bool holds(std::uint32_t member, FileId file) const;
 
-  /// Files of one member, as a bitset-backed list of ranks.
-  std::vector<FileId> files_of(std::uint32_t member) const;
-
   /// Number of members holding `file`.
   std::uint32_t copies_of(FileId file) const;
 

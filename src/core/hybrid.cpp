@@ -8,16 +8,6 @@ namespace {
 constexpr const char* kTag = "hybrid";
 }
 
-const char* hybrid_state_name(HybridState state) noexcept {
-  switch (state) {
-    case HybridState::kInitial: return "initial";
-    case HybridState::kMaster: return "master";
-    case HybridState::kSlave: return "slave";
-    case HybridState::kReserved: return "reserved";
-  }
-  return "?";
-}
-
 void HybridServent::on_start() { schedule_tick(0.0); }
 
 void HybridServent::schedule_tick(sim::SimTime delay) {

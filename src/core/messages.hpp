@@ -36,8 +36,6 @@ enum class MsgType : std::uint8_t {
 /// Number of MsgType values (array-sized counters, dispatch tables).
 inline constexpr std::size_t kNumMsgTypes = 14;
 
-const char* msg_type_name(MsgType type) noexcept;
-
 /// Messages belonging to connection (re)configuration — what Figures 7/8
 /// count as "connect messages".
 bool is_connect_message(MsgType type) noexcept;

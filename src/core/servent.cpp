@@ -21,26 +21,6 @@ const char* algorithm_name(AlgorithmKind kind) noexcept {
   return "?";
 }
 
-const char* msg_type_name(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::kConnectProbe: return "connect-probe";
-    case MsgType::kConnectOffer: return "connect-offer";
-    case MsgType::kConnectRequest: return "connect-request";
-    case MsgType::kConnectAck: return "connect-ack";
-    case MsgType::kPing: return "ping";
-    case MsgType::kPong: return "pong";
-    case MsgType::kQuery: return "query";
-    case MsgType::kQueryHit: return "query-hit";
-    case MsgType::kCapture: return "capture";
-    case MsgType::kSlaveRequest: return "slave-request";
-    case MsgType::kSlaveAccept: return "slave-accept";
-    case MsgType::kSlaveConfirm: return "slave-confirm";
-    case MsgType::kSlaveReject: return "slave-reject";
-    case MsgType::kBye: return "bye";
-  }
-  return "?";
-}
-
 bool is_connect_message(MsgType type) noexcept {
   switch (type) {
     case MsgType::kConnectProbe:

@@ -5,17 +5,6 @@
 
 namespace p2p::fault {
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kNodeCrash: return "node-crash";
-    case FaultKind::kNodeRecover: return "node-recover";
-    case FaultKind::kLinkBlackout: return "link-blackout";
-    case FaultKind::kLossBurstStart: return "loss-burst-start";
-    case FaultKind::kLossBurstEnd: return "loss-burst-end";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::compile(const FaultParams& params, std::size_t num_nodes,
                              sim::SimTime horizon, sim::RngManager& rngs) {
   FaultPlan plan;

@@ -25,85 +25,6 @@ bool Graph::has_edge(Vertex a, Vertex b) const noexcept {
   return std::find(smaller.begin(), smaller.end(), target) != smaller.end();
 }
 
-std::vector<int> Graph::bfs_distances(Vertex src) const {
-  std::vector<int> dist(adj_.size(), kUnreachable);
-  if (src >= adj_.size()) return dist;
-  std::queue<Vertex> queue;
-  dist[src] = 0;
-  queue.push(src);
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop();
-    for (const Vertex w : adj_[v]) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        queue.push(w);
-      }
-    }
-  }
-  return dist;
-}
-
-int Graph::distance(Vertex src, Vertex dst) const {
-  return bfs_distance(adj_, src, dst);
-}
-
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst) {
-  if (src >= adj.size() || dst >= adj.size()) return kUnreachable;
-  if (src == dst) return 0;
-  std::vector<int> dist(adj.size(), kUnreachable);
-  std::queue<Vertex> queue;
-  dist[src] = 0;
-  queue.push(src);
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop();
-    for (const Vertex w : adj[v]) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        if (w == dst) return dist[w];
-        queue.push(w);
-      }
-    }
-  }
-  return kUnreachable;
-}
-
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst, BfsScratch& scratch) {
-  if (src >= adj.size() || dst >= adj.size()) return kUnreachable;
-  if (src == dst) return 0;
-  if (scratch.stamp_.size() < adj.size()) {
-    scratch.stamp_.resize(adj.size(), 0);
-    scratch.dist_.resize(adj.size());
-  }
-  if (++scratch.generation_ == 0) {
-    // Stamp wrapped (once per 2^32 queries): invalidate everything.
-    std::fill(scratch.stamp_.begin(), scratch.stamp_.end(), 0u);
-    scratch.generation_ = 1;
-  }
-  const std::uint32_t gen = scratch.generation_;
-  auto& stamp = scratch.stamp_;
-  auto& dist = scratch.dist_;
-  auto& frontier = scratch.frontier_;
-  frontier.clear();
-  stamp[src] = gen;
-  dist[src] = 0;
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const Vertex v = frontier[head];
-    for (const Vertex w : adj[v]) {
-      if (stamp[w] == gen) continue;
-      stamp[w] = gen;
-      dist[w] = dist[v] + 1;
-      if (w == dst) return dist[w];
-      frontier.push_back(w);
-    }
-  }
-  return kUnreachable;
-}
-
 std::vector<Vertex> Graph::components(std::size_t* count) const {
   std::vector<Vertex> label(adj_.size(), static_cast<Vertex>(-1));
   Vertex next = 0;

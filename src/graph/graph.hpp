@@ -1,5 +1,7 @@
-// Undirected graph snapshots (physical connectivity or P2P overlay) and
-// BFS utilities.
+// Undirected graph snapshots (physical connectivity or P2P overlay).
+// Hop distances live where they are asked: Network::physical_hop_distance
+// runs its BFS over the spatial grid, and characteristic_path_length
+// (graph/metrics.hpp) over one component at a time.
 #pragma once
 
 #include <cstdint>
@@ -27,47 +29,11 @@ class Graph {
   const std::vector<Vertex>& neighbors(Vertex v) const { return adj_[v]; }
   std::size_t degree(Vertex v) const { return adj_[v].size(); }
 
-  /// Hop distances from `src` to every vertex (kUnreachable if not
-  /// connected).
-  std::vector<int> bfs_distances(Vertex src) const;
-
-  /// Shortest hop distance between two vertices, or kUnreachable. Early
-  /// exits as soon as `dst` is settled.
-  int distance(Vertex src, Vertex dst) const;
-
   /// Connected-component label per vertex, labels are 0..k-1.
   std::vector<Vertex> components(std::size_t* count = nullptr) const;
 
  private:
   std::vector<std::vector<Vertex>> adj_;
 };
-
-/// Shortest hop distance over a raw adjacency structure, early-exiting
-/// once `dst` settles; kUnreachable when disconnected. Lets callers that
-/// snapshot adjacency repeatedly (Network::shared_adjacency) query
-/// distances without constructing a Graph.
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst);
-
-/// Reusable BFS workspace for the allocation-free bfs_distance overload:
-/// visited marks are generation stamps (no O(n) clear per query) and the
-/// frontier is a flat vector reused across calls.
-class BfsScratch {
- public:
-  BfsScratch() = default;
-
- private:
-  friend int bfs_distance(const std::vector<std::vector<Vertex>>& adj,
-                          Vertex src, Vertex dst, BfsScratch& scratch);
-  std::vector<std::uint32_t> stamp_;  // stamp_[v] == generation_ -> settled
-  std::vector<int> dist_;             // valid only where stamped
-  std::vector<Vertex> frontier_;      // BFS queue (head index, no pops)
-  std::uint32_t generation_ = 0;
-};
-
-/// bfs_distance without per-call allocations; same results as the
-/// allocating overload.
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst, BfsScratch& scratch);
 
 }  // namespace p2p::graph

@@ -44,8 +44,8 @@ void DupCache::purge(sim::SimTime now) {
   // a steady insert stream: the oldest survivor is always about to
   // expire, so every insert pays a full O(capacity) rebuild — an 8x
   // wall-time hit on the flood storms.) Expired residents left behind
-  // until the next epoch are invisible to contains()/insert(), which
-  // compare insertion time against the TTL themselves.
+  // until the next epoch are invisible to insert(), which compares
+  // insertion time against the TTL itself.
   purge_due_ = now + ttl_;
 }
 
@@ -68,16 +68,6 @@ bool DupCache::insert(NodeId origin, std::uint64_t id, sim::SimTime now) {
   // Keep load factor under 3/4 so probe chains stay short.
   if (size_ * 4 > entries_.size() * 3) grow();
   return true;
-}
-
-bool DupCache::contains(NodeId origin, std::uint64_t id,
-                        sim::SimTime now) const {
-  // Expiry is lazy (insert-driven), so an entry may still be physically
-  // present after its TTL; check the recorded insertion time instead of
-  // mere presence.
-  if (entries_.empty()) return false;
-  const Entry& e = entries_[slot_for(key(origin, id))];
-  return e.time >= 0.0 && e.time + ttl_ > now;
 }
 
 void DupCache::clear() noexcept {

@@ -14,8 +14,8 @@
 // and pushes the deadline a full TTL out, so the rebuild cost amortizes
 // to O(1) per insert regardless of insert rate. Entries that expire
 // mid-epoch stay physically resident until the next rebuild but are
-// invisible — insert() and contains() compare the recorded insertion
-// time against the TTL themselves — so correctness never depends on
+// invisible — insert() compares the recorded insertion time against the
+// TTL itself — so correctness never depends on
 // purge timing, and there are no tombstones to probe over.
 #pragma once
 
@@ -39,12 +39,6 @@ class DupCache {
   /// sighting (caller should process/forward), false if it is a duplicate.
   /// A duplicate does NOT refresh the original sighting's time.
   bool insert(NodeId origin, std::uint64_t id, sim::SimTime now);
-
-  /// Whether (origin, id) was inserted within the last `ttl` before `now`.
-  /// Entries past their TTL are reported absent even if the epoch purge
-  /// has not physically removed them yet — so ID reuse after the TTL is
-  /// never suppressed by a stale sighting.
-  bool contains(NodeId origin, std::uint64_t id, sim::SimTime now) const;
 
   /// Resident entry count (purges run at insert time, so this includes
   /// entries that expired since the last insert — same lazy semantics the

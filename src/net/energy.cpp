@@ -2,13 +2,6 @@
 
 namespace p2p::net {
 
-double EnergyModel::remaining_fraction() const noexcept {
-  if (params_.battery_j == std::numeric_limits<double>::infinity()) return 1.0;
-  if (params_.battery_j <= 0.0) return 0.0;
-  const double f = (params_.battery_j - consumed_) / params_.battery_j;
-  return f < 0.0 ? 0.0 : f;
-}
-
 void EnergyModel::consume_tx(std::size_t bytes) noexcept {
   consumed_ += params_.tx_base_j + params_.tx_per_byte_j * static_cast<double>(bytes);
   ++frames_sent_;

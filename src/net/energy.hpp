@@ -36,9 +36,6 @@ class EnergyModel {
                ? params_.battery_j
                : params_.battery_j - consumed_;
   }
-  /// Remaining fraction in [0,1]; 1.0 for infinite batteries.
-  double remaining_fraction() const noexcept;
-
   void consume_tx(std::size_t bytes) noexcept;
   void consume_rx(std::size_t bytes) noexcept;
 

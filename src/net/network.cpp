@@ -26,7 +26,6 @@ NodeId Network::add_node(std::unique_ptr<mobility::MobilityModel> mobility,
   down_.push_back(0);
   const auto id = static_cast<NodeId>(nodes_.size() - 1);
   refresh_down(id);  // a zero-capacity battery is dead on arrival
-  ++liveness_epoch_;  // a new node invalidates any shared adjacency memo
   return id;
 }
 
@@ -111,11 +110,6 @@ EnergyModel& Network::energy(NodeId id) {
   return nodes_[id].energy;
 }
 
-const EnergyModel& Network::energy(NodeId id) const {
-  P2P_ASSERT(id < nodes_.size());
-  return nodes_[id].energy;
-}
-
 bool Network::in_range(NodeId a, NodeId b) {
   P2P_ASSERT(a < nodes_.size() && b < nodes_.size());
   if (a == b) return true;
@@ -147,12 +141,6 @@ void Network::receivers_of(NodeId sender, std::vector<NodeId>* out) {
       out->push_back(cand);
     }
   }
-}
-
-void Network::neighbors_of(NodeId id, std::vector<NodeId>* out) {
-  P2P_ASSERT(id < nodes_.size());
-  P2P_ASSERT(out != nullptr);
-  receivers_of(id, out);
 }
 
 std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
@@ -196,29 +184,12 @@ void Network::adjacency_snapshot(std::vector<std::vector<NodeId>>* out) {
   }
 }
 
-const std::vector<std::vector<NodeId>>& Network::shared_adjacency() {
-  const sim::SimTime now = sim_->now();
-  if (shared_adj_time_ == now && shared_adj_epoch_ == liveness_epoch_) {
-    return shared_adj_;
-  }
-  adjacency_snapshot(&shared_adj_);
-  shared_adj_time_ = now;
-  shared_adj_epoch_ = liveness_epoch_;
-  ++adjacency_builds_;
-  return shared_adj_;
-}
-
 int Network::physical_hop_distance(NodeId a, NodeId b) {
-  // If the memoized snapshot is already fresh (e.g. several query hits at
-  // the same instant), a BFS over it is cheapest — no rebuild happens.
-  if (shared_adj_time_ == sim_->now() && shared_adj_epoch_ == liveness_epoch_) {
-    return graph::bfs_distance(shared_adj_, a, b, bfs_scratch_);
-  }
-  // Otherwise BFS directly over the spatial grid: same edge relation as
-  // adjacency_snapshot() (alive endpoints, fresh positions within range,
-  // candidates_near being a guaranteed superset within the drift margin),
-  // and the BFS distance is unique, so the result is identical — without
-  // paying O(n * k) to materialize every row for one source/target pair.
+  // Same edge relation as adjacency_snapshot() (alive endpoints, fresh
+  // positions within range, candidates_near being a guaranteed superset
+  // within the drift margin), and the BFS distance is unique, so the
+  // result equals a BFS over a full snapshot — without paying O(n * k) to
+  // materialize every row for one source/target pair.
   const std::size_t n = nodes_.size();
   if (a >= n || b >= n) return graph::kUnreachable;
   if (a == b) return 0;
@@ -424,10 +395,6 @@ std::size_t Network::memory_bytes() const noexcept {
   bytes += batch_pool_.capacity() * sizeof(batch_pool_[0]);
   for (const auto& batch : batch_pool_) {
     bytes += batch.capacity() * sizeof(NodeId);
-  }
-  bytes += shared_adj_.capacity() * sizeof(shared_adj_[0]);
-  for (const auto& row : shared_adj_) {
-    bytes += row.capacity() * sizeof(NodeId);
   }
   for (const auto& node : nodes_) {
     bytes += node.listeners.capacity() * sizeof(LinkListener*);

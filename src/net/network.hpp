@@ -79,8 +79,10 @@ class Network {
     return position_at(id, sim_->now());
   }
   bool in_range(NodeId a, NodeId b);
-  /// Live neighbors within range of `id` (exact, fresh positions).
-  void neighbors_of(NodeId id, std::vector<NodeId>* out);
+  /// Exact in-range receiver set for a transmission from `sender` now:
+  /// live nodes within range at fresh positions, in the order broadcast()
+  /// delivers to them.
+  void receivers_of(NodeId sender, std::vector<NodeId>* out);
 
   /// Physical connectivity graph over live nodes at the current time.
   /// adjacency[i] lists i's neighbors; down nodes get empty lists.
@@ -91,27 +93,18 @@ class Network {
   /// degree.
   void adjacency_snapshot(std::vector<std::vector<NodeId>>* out);
 
-  /// Network-level adjacency snapshot, memoized on {now, liveness epoch}:
-  /// every servent answering query hits at the same simulated instant
-  /// shares ONE build (and one resident structure) instead of each holding
-  /// an O(n^2) private copy. Invalidated by time advancing or any node
-  /// flipping between alive and down. Borrow only — do not hold across
-  /// simulated time.
-  const std::vector<std::vector<NodeId>>& shared_adjacency();
-  /// How many times shared_adjacency() actually rebuilt (the memoization
-  /// regression tests pin this).
-  std::uint64_t adjacency_builds() const noexcept { return adjacency_builds_; }
+  /// Always 0: the adjacency memo it counted is gone. Kept only because
+  /// perfbench reports it as `net.adjacency_builds`; both go together in
+  /// the next change to the benchmark.
+  std::uint64_t adjacency_builds() const noexcept { return 0; }
 
-  /// Physical hop distance between two nodes. Uses the shared snapshot
-  /// when it is already fresh; otherwise runs a BFS directly over the
-  /// spatial grid (explores only the ball around `a`, early-exits at `b`)
-  /// instead of materializing the full adjacency for a single distance.
-  /// Either path yields the same unique BFS distance. Network-owned
-  /// scratch — no per-query allocations.
+  /// Physical hop distance between two nodes: a BFS directly over the
+  /// spatial grid that explores only the ball around `a` and early-exits
+  /// at `b`, instead of materializing the full adjacency for a single
+  /// distance. Network-owned scratch — no per-query allocations.
   int physical_hop_distance(NodeId a, NodeId b);
 
   EnergyModel& energy(NodeId id);
-  const EnergyModel& energy(NodeId id) const;
 
   /// Down = battery empty or administratively failed. Answered from a
   /// dense byte array (kept in sync at the three points liveness can
@@ -171,8 +164,16 @@ class Network {
   const PayloadPools& pools() const noexcept { return pools_; }
   PayloadPools::Stats pool_stats() const noexcept { return pools_.stats(); }
 
-  /// Attach a link-layer event observer (packet tracing); nullptr detaches.
-  void set_observer(NetObserver* observer) noexcept { observer_ = observer; }
+  /// Attach a link-layer event observer; nullptr detaches. There is one
+  /// slot, so attaching over another observer is a bug (it would silently
+  /// stop that one): an observer that takes over the slot detaches the
+  /// current one first and forwards to it (see trace::Writer).
+  void set_observer(NetObserver* observer) noexcept {
+    P2P_ASSERT_MSG(observer == nullptr || observer_ == nullptr,
+                   "set_observer would silently detach another observer");
+    observer_ = observer;
+  }
+  NetObserver* observer() const noexcept { return observer_; }
 
   // Telemetry.
   std::uint64_t frames_transmitted() const noexcept { return frames_tx_; }
@@ -211,8 +212,6 @@ class Network {
   /// Rebuild the spatial index from every node's position at now() if it
   /// is stale there.
   void refresh_index();
-  /// Exact in-range receiver set for a transmission from `sender`.
-  void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
   /// Deliver one shared frame to every receiver in the batch, in order,
   /// then return the receiver list to the pool.
@@ -224,16 +223,10 @@ class Network {
   sim::SimTime schedule_tx(NodeState& node, double duration);
 
   /// Recompute down_[id] from the authoritative NodeState (failed flag +
-  /// battery); called wherever either input can change. Compare before
-  /// store: the liveness epoch (which invalidates the shared adjacency
-  /// memo) bumps only on an actual flip, and this runs on every tx/rx.
+  /// battery); called wherever either input can change.
   void refresh_down(NodeId id) noexcept {
-    const auto down = static_cast<std::uint8_t>(nodes_[id].failed ||
-                                                !nodes_[id].energy.alive());
-    if (down != down_[id]) {
-      down_[id] = down;
-      ++liveness_epoch_;
-    }
+    down_[id] = static_cast<std::uint8_t>(nodes_[id].failed ||
+                                          !nodes_[id].energy.alive());
   }
 
   sim::Simulator* sim_;
@@ -253,20 +246,11 @@ class Network {
   std::vector<std::uint32_t> free_batches_;
   std::size_t degree_hint_ = 0;  // mean degree seen by the last snapshot
 
-  // Shared adjacency memo (see shared_adjacency()). liveness_epoch_ counts
-  // alive<->down flips and node additions; the snapshot is fresh while
-  // both the simulated instant and the epoch match the last build.
   PayloadPools pools_;
-  std::vector<std::vector<NodeId>> shared_adj_;
-  sim::SimTime shared_adj_time_ = -1.0;  // SimTime is never negative
-  std::uint64_t shared_adj_epoch_ = 0;
-  std::uint64_t liveness_epoch_ = 0;
-  std::uint64_t adjacency_builds_ = 0;
-  graph::BfsScratch bfs_scratch_;
-  // Grid-BFS scratch for physical_hop_distance() when the shared snapshot
-  // is stale: generation-stamped visited marks plus a flat frontier, and a
-  // dedicated candidate buffer (scratch_candidates_ is live inside
-  // broadcast(), which can be on the stack when a distance is queried).
+  // Grid-BFS scratch for physical_hop_distance(): generation-stamped
+  // visited marks plus a flat frontier, and a dedicated candidate buffer
+  // (scratch_candidates_ is live inside broadcast(), which can be on the
+  // stack when a distance is queried).
   std::vector<std::uint64_t> grid_stamp_;
   std::vector<int> grid_dist_;
   std::vector<NodeId> grid_queue_;

@@ -183,7 +183,6 @@ class SimulationRun final : public core::QueryRecorder {
   net::Network& network() noexcept { return *network_; }
   core::Servent& servent(std::size_t member_index);
   std::size_t member_count() const noexcept { return members_.size(); }
-  net::NodeId member_node(std::size_t member_index) const;
   const content::Placement& placement() const noexcept { return *placement_; }
 
   /// Overlay graph over members: edge wherever at least one side holds a

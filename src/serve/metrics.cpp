@@ -15,14 +15,6 @@ Counter& Metrics::counter(std::string_view name) {
   return counters_.back().second;
 }
 
-const Counter* Metrics::find(std::string_view name) const {
-  std::scoped_lock lock(mutex_);
-  for (const auto& [n, c] : counters_) {
-    if (n == name) return &c;
-  }
-  return nullptr;
-}
-
 std::string Metrics::to_json() const {
   std::scoped_lock lock(mutex_);
   std::string out = "{\"type\":\"stats\"";

@@ -40,9 +40,6 @@ class Metrics {
   /// emission order in to_json().
   Counter& counter(std::string_view name);
 
-  /// Existing counter or nullptr (read-side; never registers).
-  const Counter* find(std::string_view name) const;
-
   /// One-line JSON snapshot: {"type":"stats","<name>":<value>,...} in
   /// registration order.
   std::string to_json() const;

@@ -10,7 +10,6 @@ namespace p2p::stats {
 class RunningStat {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStat& other) noexcept;
 
   std::uint64_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }

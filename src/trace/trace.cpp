@@ -1,70 +1,42 @@
 #include "trace/trace.hpp"
 
 #include <ostream>
-#include <sstream>
-
-#include "util/assert.hpp"
 
 namespace p2p::trace {
 
-char event_code(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kTransmit: return 's';
-    case EventKind::kDeliver: return 'r';
-    case EventKind::kDrop: return 'd';
-  }
-  return '?';
+Writer::Writer(std::ostream& os, net::Network& network)
+    : os_(&os), next_(network.observer()) {
+  network.set_observer(nullptr);
+  network.set_observer(this);
 }
 
-void Writer::record(const Record& record) {
-  (*os_) << event_code(record.kind) << ' ' << record.time << ' '
-         << record.node << ' ';
-  if (record.peer == net::kBroadcast) {
+void Writer::on_transmit(double time, net::NodeId node, net::NodeId dst,
+                         std::size_t bytes) {
+  line('s', time, node, dst, bytes);
+  if (next_ != nullptr) next_->on_transmit(time, node, dst, bytes);
+}
+
+void Writer::on_deliver(double time, net::NodeId node, net::NodeId sender,
+                        std::size_t bytes) {
+  line('r', time, node, sender, bytes);
+  if (next_ != nullptr) next_->on_deliver(time, node, sender, bytes);
+}
+
+void Writer::on_drop(double time, net::NodeId sender, net::NodeId dst,
+                     std::size_t bytes) {
+  line('d', time, sender, dst, bytes);
+  if (next_ != nullptr) next_->on_drop(time, sender, dst, bytes);
+}
+
+void Writer::line(char code, double time, net::NodeId node, net::NodeId peer,
+                  std::size_t bytes) {
+  (*os_) << code << ' ' << time << ' ' << node << ' ';
+  if (peer == net::kBroadcast) {
     (*os_) << "bcast";
   } else {
-    (*os_) << record.peer;
+    (*os_) << peer;
   }
-  (*os_) << ' ' << record.size_bytes << '\n';
-}
-
-bool Writer::parse_line(const std::string& line, Record* out) {
-  P2P_ASSERT(out != nullptr);
-  std::istringstream is(line);
-  char code = 0;
-  std::string peer;
-  if (!(is >> code >> out->time >> out->node >> peer >> out->size_bytes)) {
-    return false;
-  }
-  switch (code) {
-    case 's': out->kind = EventKind::kTransmit; break;
-    case 'r': out->kind = EventKind::kDeliver; break;
-    case 'd': out->kind = EventKind::kDrop; break;
-    default: return false;
-  }
-  if (peer == "bcast") {
-    out->peer = net::kBroadcast;
-  } else {
-    try {
-      out->peer = static_cast<net::NodeId>(std::stoul(peer));
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void Counter::record(const Record& record) {
-  const auto k = static_cast<std::size_t>(record.kind);
-  ++totals_[k];
-  total_bytes_[k] += record.size_bytes;
-  if (record.node < per_node_.size()) {
-    ++per_node_[record.node].counts[k];
-  }
-}
-
-std::uint64_t Counter::node_count(net::NodeId node, EventKind kind) const {
-  P2P_ASSERT(node < per_node_.size());
-  return per_node_[node].counts[static_cast<std::size_t>(kind)];
+  (*os_) << ' ' << bytes << '\n';
 }
 
 }  // namespace p2p::trace

@@ -80,40 +80,6 @@ std::optional<std::string> Config::get_string(std::string_view key) const {
   return it->second;
 }
 
-std::optional<long long> Config::get_int(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_int(*s);
-}
-
-std::optional<double> Config::get_double(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_double(*s);
-}
-
-std::optional<bool> Config::get_bool(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_bool(*s);
-}
-
-std::string Config::get_string_or(std::string_view key, std::string_view fallback) const {
-  return get_string(key).value_or(std::string(fallback));
-}
-
-long long Config::get_int_or(std::string_view key, long long fallback) const {
-  return get_int(key).value_or(fallback);
-}
-
-double Config::get_double_or(std::string_view key, double fallback) const {
-  return get_double(key).value_or(fallback);
-}
-
-bool Config::get_bool_or(std::string_view key, bool fallback) const {
-  return get_bool(key).value_or(fallback);
-}
-
 std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());

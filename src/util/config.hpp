@@ -1,4 +1,4 @@
-// Key/value configuration store with typed accessors and INI-style parsing.
+// Key/value configuration store with INI-style parsing.
 //
 // Scenario parameters (paper Table 2 plus the timers the paper leaves
 // unspecified) have strongly-typed defaults in scenario/parameters.hpp;
@@ -30,15 +30,9 @@ class Config {
   void set(std::string key, std::string value);
   bool contains(std::string_view key) const noexcept;
 
+  /// Raw value text; typing and range checks are the reader's job
+  /// (scenario::Parameters::apply).
   std::optional<std::string> get_string(std::string_view key) const;
-  std::optional<long long> get_int(std::string_view key) const;
-  std::optional<double> get_double(std::string_view key) const;
-  std::optional<bool> get_bool(std::string_view key) const;
-
-  std::string get_string_or(std::string_view key, std::string_view fallback) const;
-  long long get_int_or(std::string_view key, long long fallback) const;
-  double get_double_or(std::string_view key, double fallback) const;
-  bool get_bool_or(std::string_view key, bool fallback) const;
 
   /// Keys in lexicographic order (stable dumps for EXPERIMENTS.md).
   std::vector<std::string> keys() const;

@@ -8,16 +8,6 @@ namespace {
 std::mutex g_log_mutex;
 }  // namespace
 
-LogLevel parse_log_level(std::string_view s) noexcept {
-  if (s == "trace") return LogLevel::kTrace;
-  if (s == "debug") return LogLevel::kDebug;
-  if (s == "info") return LogLevel::kInfo;
-  if (s == "warn" || s == "warning") return LogLevel::kWarn;
-  if (s == "error") return LogLevel::kError;
-  if (s == "off" || s == "none") return LogLevel::kOff;
-  return LogLevel::kInfo;
-}
-
 const char* log_level_name(LogLevel level) noexcept {
   switch (level) {
     case LogLevel::kTrace: return "TRACE";
@@ -35,28 +25,16 @@ Logger& Logger::instance() noexcept {
   return logger;
 }
 
-void Logger::set_output_file(const std::string& path) {
-  std::scoped_lock lock(g_log_mutex);
-  if (file_ != nullptr) {
-    std::fclose(static_cast<std::FILE*>(file_));
-    file_ = nullptr;
-  }
-  if (!path.empty()) {
-    file_ = std::fopen(path.c_str(), "w");
-  }
-}
-
 void Logger::write(LogLevel level, std::string_view component, double sim_time,
                    std::string_view message) {
   std::scoped_lock lock(g_log_mutex);
-  auto* out = file_ != nullptr ? static_cast<std::FILE*>(file_) : stderr;
   if (sim_time >= 0.0) {
-    std::fprintf(out, "[%10.4f] %-5s %-8.*s %.*s\n", sim_time,
+    std::fprintf(stderr, "[%10.4f] %-5s %-8.*s %.*s\n", sim_time,
                  log_level_name(level), static_cast<int>(component.size()),
                  component.data(), static_cast<int>(message.size()),
                  message.data());
   } else {
-    std::fprintf(out, "[      ----] %-5s %-8.*s %.*s\n", log_level_name(level),
+    std::fprintf(stderr, "[      ----] %-5s %-8.*s %.*s\n", log_level_name(level),
                  static_cast<int>(component.size()), component.data(),
                  static_cast<int>(message.size()), message.data());
   }

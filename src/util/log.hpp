@@ -15,10 +15,6 @@ namespace p2p::util {
 
 enum class LogLevel : std::uint8_t { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-/// Parse "trace" / "debug" / "info" / "warn" / "error" / "off".
-/// Unknown strings map to kInfo.
-LogLevel parse_log_level(std::string_view s) noexcept;
-
 const char* log_level_name(LogLevel level) noexcept;
 
 class Logger {
@@ -28,19 +24,15 @@ class Logger {
   void set_level(LogLevel level) noexcept { level_ = level; }
   LogLevel level() const noexcept { return level_; }
 
-  /// Route records to a file instead of stderr. Empty path resets to stderr.
-  void set_output_file(const std::string& path);
-
   bool enabled(LogLevel level) const noexcept { return level >= level_; }
 
-  /// Emit one record. `sim_time` < 0 means "outside simulation".
+  /// Emit one record to stderr. `sim_time` < 0 means "outside simulation".
   void write(LogLevel level, std::string_view component, double sim_time,
              std::string_view message);
 
  private:
   Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
-  void* file_ = nullptr;  // FILE*; void* keeps <cstdio> out of the header
 };
 
 /// Stream-style record builder used by the LOG_* macros.

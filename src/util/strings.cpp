@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 
 namespace p2p::util {
@@ -14,18 +12,6 @@ std::string_view trim(std::string_view s) noexcept {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
   return s.substr(b, e - b);
-}
-
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
 }
 
 std::optional<long long> parse_int(std::string_view s) noexcept {
@@ -60,22 +46,6 @@ std::optional<bool> parse_bool(std::string_view s) noexcept {
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::string format(const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  std::va_list args2;
-  va_copy(args2, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  std::string out;
-  if (n > 0) {
-    out.resize(static_cast<std::size_t>(n));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
-  }
-  va_end(args2);
   return out;
 }
 

@@ -1,20 +1,15 @@
-// Small string utilities shared across modules (no std::format in gcc 12's
-// libstdc++, so we keep a few sstream-based helpers here).
+// Small string utilities shared across modules: trimming and
+// non-throwing parsers for configuration input.
 #pragma once
 
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace p2p::util {
 
 /// Strip leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s) noexcept;
-
-/// Split on a delimiter; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char delim);
 
 /// Parse helpers returning nullopt on any syntax error (recoverable input
 /// errors must not assert).
@@ -24,21 +19,5 @@ std::optional<bool> parse_bool(std::string_view s) noexcept;
 
 /// Lower-case ASCII copy.
 std::string to_lower(std::string_view s);
-
-/// Join values with a separator using operator<<.
-template <typename Range>
-std::string join(const Range& values, std::string_view sep) {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& v : values) {
-    if (!first) os << sep;
-    first = false;
-    os << v;
-  }
-  return os.str();
-}
-
-/// printf-style formatting into std::string.
-std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace p2p::util

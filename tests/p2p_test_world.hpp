@@ -10,12 +10,13 @@
 #include "core/factory.hpp"
 #include "core/hybrid.hpp"
 #include "mobility/model.hpp"
-#include "mobility/trace.hpp"
 #include "net/network.hpp"
 #include "routing/aodv.hpp"
 #include "routing/flood.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+
+#include "trace_model.hpp"
 
 namespace p2ptest {
 

@@ -63,8 +63,6 @@ TEST(Names, EnumsHaveReadableNames) {
   EXPECT_STREQ(close_reason_name(CloseReason::kTooFar), "too-far");
   EXPECT_STREQ(close_reason_name(CloseReason::kPeerClosed), "peer-closed");
   EXPECT_STREQ(algorithm_name(AlgorithmKind::kHybrid), "Hybrid");
-  EXPECT_STREQ(msg_type_name(MsgType::kQueryHit), "query-hit");
-  EXPECT_STREQ(hybrid_state_name(HybridState::kReserved), "reserved");
 }
 
 TEST(Messages, ConnectClassificationMatchesFigure7) {

@@ -61,19 +61,16 @@ TEST(Placement, ExactQuotaMatchesRoundedFrequencies) {
   }
 }
 
-TEST(Placement, HoldsAgreesWithFilesOfAndCopies) {
+TEST(Placement, HoldsAgreesWithCopies) {
   const ZipfLaw law(10, 0.40);
   const Placement placement(law, 50, sim::RngStream(9));
-  std::uint32_t total_from_files_of = 0;
-  for (std::uint32_t m = 0; m < 50; ++m) {
-    for (const auto file : placement.files_of(m)) {
-      EXPECT_TRUE(placement.holds(m, file));
-      ++total_from_files_of;
+  for (content::FileId k = 1; k <= 10; ++k) {
+    std::uint32_t holders = 0;
+    for (std::uint32_t m = 0; m < 50; ++m) {
+      if (placement.holds(m, k)) ++holders;
     }
+    EXPECT_EQ(holders, placement.copies_of(k)) << "file " << k;
   }
-  std::uint32_t total_from_copies = 0;
-  for (std::uint32_t k = 1; k <= 10; ++k) total_from_copies += placement.copies_of(k);
-  EXPECT_EQ(total_from_files_of, total_from_copies);
 }
 
 TEST(Placement, BernoulliModeIsApproximatelyCalibrated) {
@@ -89,7 +86,9 @@ TEST(Placement, DeterministicForSameSeed) {
   const Placement a(law, 80, sim::RngStream(5));
   const Placement b(law, 80, sim::RngStream(5));
   for (std::uint32_t m = 0; m < 80; ++m) {
-    EXPECT_EQ(a.files_of(m), b.files_of(m));
+    for (content::FileId k = 1; k <= 20; ++k) {
+      EXPECT_EQ(a.holds(m, k), b.holds(m, k)) << "member " << m;
+    }
   }
 }
 
@@ -99,7 +98,9 @@ TEST(Placement, DifferentSeedsDiffer) {
   const Placement b(law, 80, sim::RngStream(6));
   bool any_difference = false;
   for (std::uint32_t m = 0; m < 80 && !any_difference; ++m) {
-    any_difference = a.files_of(m) != b.files_of(m);
+    for (content::FileId k = 1; k <= 20; ++k) {
+      any_difference = any_difference || a.holds(m, k) != b.holds(m, k);
+    }
   }
   EXPECT_TRUE(any_difference);
 }

@@ -6,10 +6,11 @@
 #include <vector>
 
 #include "mobility/model.hpp"
-#include "mobility/trace.hpp"
 #include "net/network.hpp"
 #include "routing/dsdv.hpp"
 #include "sim/simulator.hpp"
+
+#include "trace_model.hpp"
 
 namespace {
 

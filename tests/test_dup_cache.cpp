@@ -1,6 +1,8 @@
 // DupCache: first-sighting semantics and TTL expiry.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/dup_cache.hpp"
 
 namespace {
@@ -10,7 +12,8 @@ using p2p::net::DupCache;
 TEST(DupCache, FirstInsertIsFresh) {
   DupCache cache(10.0);
   EXPECT_TRUE(cache.insert(1, 100, 0.0));
-  EXPECT_TRUE(cache.contains(1, 100, 0.0));
+  EXPECT_FALSE(cache.insert(1, 100, 0.0));  // recorded at once
+  EXPECT_EQ(cache.size(), 1U);
 }
 
 TEST(DupCache, SecondInsertIsDuplicate) {
@@ -53,27 +56,23 @@ TEST(DupCache, SizeReflectsLiveEntries) {
   EXPECT_EQ(cache.size(), 1U);
 }
 
-TEST(DupCache, ContainsDoesNotInsert) {
+// An entry past its TTL that the epoch purge has not reached yet is still
+// resident, but must read as expired: re-inserting it is a fresh sighting
+// (ID reuse after the TTL is never suppressed by a stale one), recorded
+// in place, and a duplicate again right after.
+TEST(DupCache, ExpiredResidentReadsAsFreshBeforePurge) {
   DupCache cache(10.0);
-  EXPECT_FALSE(cache.contains(5, 5, 0.0));
-  EXPECT_TRUE(cache.insert(5, 5, 0.0));
-}
-
-// Regression: contains() used to ignore the TTL entirely — an entry past
-// its TTL (but not yet lazily evicted by an insert) was still reported as
-// seen, suppressing legitimate ID reuse.
-TEST(DupCache, ContainsRespectsTtlWithoutEviction) {
-  DupCache cache(10.0);
-  cache.insert(1, 100, 0.0);
-  EXPECT_TRUE(cache.contains(1, 100, 5.0));
-  EXPECT_TRUE(cache.contains(1, 100, 9.99));
-  // No insert has run since, so the entry is physically still present —
-  // but it must read as expired.
-  EXPECT_FALSE(cache.contains(1, 100, 10.0));
-  EXPECT_FALSE(cache.contains(1, 100, 1000.0));
-  // And the ID is reusable.
-  EXPECT_TRUE(cache.insert(1, 100, 10.0));
-  EXPECT_TRUE(cache.contains(1, 100, 10.0));
+  cache.insert(1, 1, 0.0);    // opens the epoch: purge due at 10
+  cache.insert(1, 100, 9.0);  // expires at 19
+  cache.insert(1, 2, 10.0);   // purge: drops (1,1), next purge due at 20
+  ASSERT_EQ(cache.size(), 2U);
+  EXPECT_FALSE(cache.insert(1, 100, 18.99));  // still live
+  // At 19.5 (1,100) has expired, but no purge runs before 20.
+  EXPECT_TRUE(cache.insert(1, 100, 19.5));
+  EXPECT_EQ(cache.size(), 2U);  // re-used its resident slot
+  EXPECT_FALSE(cache.insert(1, 100, 19.6));
+  std::string why;
+  EXPECT_TRUE(cache.validate(19.6, &why)) << why;
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // EnergyModel: linear radio cost accounting and battery death.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/energy.hpp"
 
 namespace {
@@ -12,7 +14,7 @@ TEST(Energy, DefaultBatteryIsInfinite) {
   EnergyModel model;
   for (int i = 0; i < 1000; ++i) model.consume_tx(1500);
   EXPECT_TRUE(model.alive());
-  EXPECT_DOUBLE_EQ(model.remaining_fraction(), 1.0);
+  EXPECT_EQ(model.remaining_j(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Energy, LinearCostModel) {
@@ -43,14 +45,14 @@ TEST(Energy, DiesWhenBatteryEmpty) {
   EXPECT_FALSE(model.alive());  // 12 >= 10
 }
 
-TEST(Energy, RemainingFractionClampsToZero) {
+TEST(Energy, OverdrawnBatteryIsDeadWithNegativeRemaining) {
   EnergyParams params;
   params.battery_j = 1.0;
   params.tx_base_j = 2.0;
   EnergyModel model(params);
   model.consume_tx(0);
-  EXPECT_DOUBLE_EQ(model.remaining_fraction(), 0.0);
-  EXPECT_LT(model.remaining_j(), 0.0);
+  EXPECT_FALSE(model.alive());
+  EXPECT_DOUBLE_EQ(model.remaining_j(), -1.0);
 }
 
 TEST(Energy, CountsFramesAndBytes) {

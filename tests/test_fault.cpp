@@ -310,8 +310,8 @@ bool mutual_overlay_connected(scenario::SimulationRun& run) {
   std::vector<std::vector<std::size_t>> adj(m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
-      const net::NodeId a = run.member_node(i);
-      const net::NodeId b = run.member_node(j);
+      const net::NodeId a = run.servent(i).self();
+      const net::NodeId b = run.servent(j).self();
       if (run.servent(i).connections().connected(b) &&
           run.servent(j).connections().connected(a)) {
         adj[i].push_back(j);
@@ -341,7 +341,7 @@ bool mutual_overlay_connected(scenario::SimulationRun& run) {
 void crash_recover_every_member(scenario::SimulationRun& run) {
   auto& sim = run.simulator();
   for (std::size_t idx = 0; idx < run.member_count(); ++idx) {
-    const net::NodeId id = run.member_node(idx);
+    const net::NodeId id = run.servent(idx).self();
     const double t = sim.now();
     run.crash_node(id);
     sim.run_until(t + 40.0);

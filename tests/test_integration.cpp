@@ -57,7 +57,7 @@ TEST_P(AlgorithmIntegration, FullRunSatisfiesInvariants) {
       EXPECT_NE(peer, servent.self());
       bool is_member = false;
       for (std::size_t j = 0; j < run.member_count(); ++j) {
-        if (run.member_node(j) == peer) is_member = true;
+        if (run.servent(j).self() == peer) is_member = true;
       }
       EXPECT_TRUE(is_member) << "connection to non-member " << peer;
     }

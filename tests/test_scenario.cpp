@@ -86,9 +86,11 @@ TEST(Parameters, ApplyRejectsUnknownKeys) {
   // named error now, and the message must point at the offending key.
   //
   // sim_threads / sim_shards selected the deleted intra-run parallel
-  // executor; old clients sending them get a named error, not a silent
-  // sequential run.
-  for (const char* key : {"num_nodez", "sim_threads", "sim_shards"}) {
+  // executor, and churn_death_rate_per_hour / churn_down_time were the
+  // deleted aliases of churn_rate / mean_downtime; old clients sending
+  // them get a named error, not a silently different run.
+  for (const char* key : {"num_nodez", "sim_threads", "sim_shards",
+                          "churn_death_rate_per_hour", "churn_down_time"}) {
     util::Config config;
     config.set(key, "1");
     const std::string err = Parameters{}.apply(config);
@@ -110,11 +112,10 @@ TEST(Parameters, ApplyRejectsNonFiniteNumbers) {
       "query_response_wait", "query_gap_min", "query_gap_max",
       "aodv_active_route_timeout", "dsdv_update_interval",
       "dsdv_stale_timeout", "mac_bandwidth_bps", "mac_loss_probability",
-      "mac_gray_zone_fraction", "battery_j", "churn_death_rate_per_hour",
-      "churn_down_time", "churn_rate", "mean_uptime", "mean_downtime",
-      "link_blackout_rate", "link_blackout_duration", "loss_burst_rate",
-      "loss_burst_duration", "loss_burst_loss", "crash_run_at",
-      "invariant_check_interval", "fault_monitor_interval",
+      "mac_gray_zone_fraction", "battery_j", "churn_rate", "mean_uptime",
+      "mean_downtime", "link_blackout_rate", "link_blackout_duration",
+      "loss_burst_rate", "loss_burst_duration", "loss_burst_loss",
+      "crash_run_at", "invariant_check_interval", "fault_monitor_interval",
       "overlay_sample_interval_s", "join_stagger_s"};
   for (const char* key : keys) {
     util::Config valid;
@@ -228,7 +229,7 @@ TEST(SimulationRun, BuildCreatesMembersAndPlacement) {
   EXPECT_EQ(run.placement().num_files(), params.num_files);
   for (std::size_t i = 0; i < run.member_count(); ++i) {
     EXPECT_EQ(run.servent(i).algorithm(), core::AlgorithmKind::kRegular);
-    EXPECT_LT(run.member_node(i), params.num_nodes);
+    EXPECT_LT(run.servent(i).self(), params.num_nodes);
   }
 }
 
@@ -310,8 +311,8 @@ TEST(SimulationRun, RunsUnderEveryMobilityModel) {
 
 TEST(SimulationRun, ChurnKillsAndRevivesNodes) {
   Parameters params = tiny_scenario(core::AlgorithmKind::kRegular);
-  params.churn_death_rate_per_hour = 30.0;  // ~2.5 deaths/node over 300 s
-  params.churn_down_time = 20.0;
+  params.fault.churn_rate_per_hour = 30.0;  // ~2.5 deaths/node over 300 s
+  params.fault.mean_downtime_s = 20.0;
   const auto result = SimulationRun(params).run();
   EXPECT_GT(result.churn_deaths, 0U);
   // The network survives: frames still flow and invariants held (no
@@ -324,11 +325,13 @@ TEST(Parameters, MobilityAndRoutingOverrides) {
   util::Config config;
   config.set("mobility", "gauss_markov");
   config.set("routing_protocol", "dsdv");
-  config.set("churn_death_rate_per_hour", "5");
+  config.set("churn_rate", "5");
+  config.set("mean_downtime", "20");
   EXPECT_EQ(params.apply(config), "");
   EXPECT_EQ(params.mobility_kind, scenario::MobilityKind::kGaussMarkov);
   EXPECT_EQ(params.routing_protocol, scenario::RoutingProtocol::kDsdv);
-  EXPECT_DOUBLE_EQ(params.churn_death_rate_per_hour, 5.0);
+  EXPECT_DOUBLE_EQ(params.fault.churn_rate_per_hour, 5.0);
+  EXPECT_DOUBLE_EQ(params.fault.mean_downtime_s, 20.0);
 
   util::Config bad;
   bad.set("mobility", "teleport");
@@ -347,8 +350,11 @@ TEST(Cache, KeyChangesWithNewKnobs) {
   c.mobility_kind = scenario::MobilityKind::kGaussMarkov;
   EXPECT_NE(scenario::cache_key(a, 3), scenario::cache_key(c, 3));
   Parameters d = a;
-  d.churn_death_rate_per_hour = 1.0;
+  d.fault.churn_rate_per_hour = 1.0;
   EXPECT_NE(scenario::cache_key(a, 3), scenario::cache_key(d, 3));
+  Parameters e = d;
+  e.fault.mean_downtime_s = 20.0;
+  EXPECT_NE(scenario::cache_key(d, 3), scenario::cache_key(e, 3));
 }
 
 TEST(Experiment, AggregatesAcrossSeeds) {
@@ -418,13 +424,15 @@ TEST(Cache, KeyChangesWithParameters) {
 TEST(Cache, DefaultAndMegaScaleKeysArePinned) {
   // Existing cache entries stay valid only while sequential keys are
   // byte-stable; a change that moves one must bump the code tag instead.
+  // (Last moved when the churn_rate/churn_down alias lines left the key:
+  // older entries read as misses and are recomputed, identically.)
   EXPECT_EQ(scenario::cache_key(Parameters{}, 5),
-            "7ebfd9f17fc15cb1-8c718dd5f1e8ccd");
+            "46fdba4acb3baf0e-6b7d0ad26926e00a");
   Parameters mega;
   mega.num_nodes = 10000;
   mega.routing_protocol = scenario::RoutingProtocol::kAodv;
   EXPECT_EQ(scenario::cache_key(mega, 5),
-            "a371d6f179402833-b4830c9e0945a8db");
+            "3682bad868f01134-dc66f05dc367a5bc");
 }
 
 TEST(Experiment, BenchSeedCountReadsEnvironment) {

@@ -1,9 +1,12 @@
-// Packet tracing: writer format round-trip, counter aggregation, network
-// integration via the observer hook.
+// Packet tracing: the writer's line format, the network's observer hook,
+// and the writer forwarding to the observer it replaces.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mobility/model.hpp"
 #include "net/network.hpp"
@@ -13,132 +16,127 @@
 namespace {
 
 using namespace p2p;
-using trace::Counter;
-using trace::EventKind;
-using trace::Record;
-using trace::Writer;
-
-TEST(Trace, EventCodesMatchNs2Convention) {
-  EXPECT_EQ(trace::event_code(EventKind::kTransmit), 's');
-  EXPECT_EQ(trace::event_code(EventKind::kDeliver), 'r');
-  EXPECT_EQ(trace::event_code(EventKind::kDrop), 'd');
-}
-
-TEST(Trace, WriterRendersParsableLines) {
-  std::ostringstream os;
-  Writer writer(os);
-  writer.record({1.5, EventKind::kTransmit, 3, net::kBroadcast, 64});
-  writer.record({2.25, EventKind::kDeliver, 7, 3, 64});
-  writer.record({3.0, EventKind::kDrop, 3, 9, 128});
-
-  std::istringstream is(os.str());
-  std::string line;
-  Record record;
-
-  ASSERT_TRUE(std::getline(is, line));
-  ASSERT_TRUE(Writer::parse_line(line, &record));
-  EXPECT_EQ(record.kind, EventKind::kTransmit);
-  EXPECT_DOUBLE_EQ(record.time, 1.5);
-  EXPECT_EQ(record.node, 3U);
-  EXPECT_EQ(record.peer, net::kBroadcast);
-  EXPECT_EQ(record.size_bytes, 64U);
-
-  ASSERT_TRUE(std::getline(is, line));
-  ASSERT_TRUE(Writer::parse_line(line, &record));
-  EXPECT_EQ(record.kind, EventKind::kDeliver);
-  EXPECT_EQ(record.peer, 3U);
-
-  ASSERT_TRUE(std::getline(is, line));
-  ASSERT_TRUE(Writer::parse_line(line, &record));
-  EXPECT_EQ(record.kind, EventKind::kDrop);
-  EXPECT_EQ(record.size_bytes, 128U);
-}
-
-TEST(Trace, ParseRejectsGarbage) {
-  Record record;
-  EXPECT_FALSE(Writer::parse_line("", &record));
-  EXPECT_FALSE(Writer::parse_line("x 1 2 3 4", &record));
-  EXPECT_FALSE(Writer::parse_line("s 1 2", &record));
-  EXPECT_FALSE(Writer::parse_line("s one 2 3 4", &record));
-}
-
-TEST(Trace, CounterAggregatesPerKindAndNode) {
-  Counter counter(4);
-  counter.record({0.0, EventKind::kTransmit, 0, net::kBroadcast, 100});
-  counter.record({0.1, EventKind::kDeliver, 1, 0, 100});
-  counter.record({0.1, EventKind::kDeliver, 2, 0, 100});
-  counter.record({0.2, EventKind::kDrop, 0, 3, 50});
-  EXPECT_EQ(counter.count(EventKind::kTransmit), 1U);
-  EXPECT_EQ(counter.count(EventKind::kDeliver), 2U);
-  EXPECT_EQ(counter.count(EventKind::kDrop), 1U);
-  EXPECT_EQ(counter.bytes(EventKind::kDeliver), 200U);
-  EXPECT_EQ(counter.node_count(1, EventKind::kDeliver), 1U);
-  EXPECT_EQ(counter.node_count(3, EventKind::kDeliver), 0U);
-}
-
-TEST(Trace, TeeFansOut) {
-  Counter a(2), b(2);
-  trace::Tee tee;
-  tee.add(&a);
-  tee.add(&b);
-  tee.record({0.0, EventKind::kTransmit, 0, 1, 10});
-  EXPECT_EQ(a.count(EventKind::kTransmit), 1U);
-  EXPECT_EQ(b.count(EventKind::kTransmit), 1U);
-}
+using net::NodeId;
 
 struct NoopPayload final : net::FramePayload {};
 
-TEST(Trace, NetworkObserverSeesTransmitsDeliveriesAndDrops) {
-  sim::Simulator sim;
+// Counts every observed event per kind, overall and by acting node
+// (sender for transmits and drops, receiver for deliveries).
+struct CountingObserver final : net::NetObserver {
+  enum Kind { kTransmit, kDeliver, kDrop };
+  explicit CountingObserver(std::size_t nodes) : per_node(nodes) {}
+  void on_transmit(double, NodeId node, NodeId, std::size_t) override {
+    count(kTransmit, node);
+  }
+  void on_deliver(double, NodeId node, NodeId, std::size_t) override {
+    count(kDeliver, node);
+  }
+  void on_drop(double, NodeId sender, NodeId, std::size_t) override {
+    count(kDrop, sender);
+  }
+  void count(Kind kind, NodeId node) {
+    ++totals[kind];
+    ++per_node.at(node)[kind];
+  }
+  std::array<std::uint64_t, 3> totals{};
+  std::vector<std::array<std::uint64_t, 3>> per_node;
+};
+
+std::unique_ptr<net::Network> make_network(sim::Simulator& sim,
+                                           const std::vector<geo::Vec2>& at,
+                                           std::uint64_t seed = 1) {
   net::NetworkParams params;
   params.mac.jitter_max_s = 0.0;
-  net::Network network(sim, params, sim::RngStream(1));
-  const auto a = network.add_node(
-      std::make_unique<mobility::StaticModel>(geo::Vec2{0, 0}));
-  const auto b = network.add_node(
-      std::make_unique<mobility::StaticModel>(geo::Vec2{5, 0}));
-  const auto far = network.add_node(
-      std::make_unique<mobility::StaticModel>(geo::Vec2{90, 90}));
+  auto network =
+      std::make_unique<net::Network>(sim, params, sim::RngStream(seed));
+  for (const geo::Vec2 p : at) {
+    network->add_node(std::make_unique<mobility::StaticModel>(p));
+  }
+  return network;
+}
 
-  Counter counter(3);
-  trace::NetworkAdapter adapter(counter);
-  network.set_observer(&adapter);
+TEST(Trace, WriterRendersNs2Lines) {
+  sim::Simulator sim;
+  const auto network = make_network(sim, {});
+  std::ostringstream os;
+  trace::Writer writer(os, *network);
+  writer.on_transmit(1.5, 3, net::kBroadcast, 64);
+  writer.on_deliver(2.25, 7, 3, 64);
+  writer.on_drop(3.0, 3, 9, 128);
+  writer.on_transmit(0.0270915, 76, 12, 37);
+  EXPECT_EQ(os.str(),
+            "s 1.5 3 bcast 64\n"
+            "r 2.25 7 3 64\n"
+            "d 3 3 9 128\n"
+            "s 0.0270915 76 12 37\n");
+}
 
-  network.broadcast(a, net::make_payload<const NoopPayload>(), 64);
-  network.unicast(a, b, net::make_payload<const NoopPayload>(), 32);
-  network.unicast(a, far, net::make_payload<const NoopPayload>(), 32);  // drop
+TEST(Trace, NetworkObserverSeesTransmitsDeliveriesAndDrops) {
+  sim::Simulator sim;
+  const auto network = make_network(sim, {{0, 0}, {5, 0}, {90, 90}});
+  const NodeId a = 0, b = 1, far = 2;
+  CountingObserver counter(3);
+  network->set_observer(&counter);
+
+  network->broadcast(a, net::make_payload<const NoopPayload>(), 64);
+  network->unicast(a, b, net::make_payload<const NoopPayload>(), 32);
+  network->unicast(a, far, net::make_payload<const NoopPayload>(), 32);  // drop
   sim.run();
 
-  EXPECT_EQ(counter.count(EventKind::kTransmit), 3U);
-  EXPECT_EQ(counter.count(EventKind::kDeliver), 2U);  // bcast->b, unicast->b
-  EXPECT_EQ(counter.count(EventKind::kDrop), 1U);
-  EXPECT_EQ(counter.node_count(a, EventKind::kTransmit), 3U);
-  EXPECT_EQ(counter.node_count(b, EventKind::kDeliver), 2U);
+  EXPECT_EQ(counter.totals[CountingObserver::kTransmit], 3U);
+  EXPECT_EQ(counter.totals[CountingObserver::kDeliver], 2U);  // bcast+unicast
+  EXPECT_EQ(counter.totals[CountingObserver::kDrop], 1U);
+  EXPECT_EQ(counter.per_node[a][CountingObserver::kTransmit], 3U);
+  EXPECT_EQ(counter.per_node[b][CountingObserver::kDeliver], 2U);
 
   // Detaching stops recording.
-  network.set_observer(nullptr);
-  network.broadcast(a, net::make_payload<const NoopPayload>(), 64);
+  network->set_observer(nullptr);
+  network->broadcast(a, net::make_payload<const NoopPayload>(), 64);
   sim.run();
-  EXPECT_EQ(counter.count(EventKind::kTransmit), 3U);
+  EXPECT_EQ(counter.totals[CountingObserver::kTransmit], 3U);
 }
 
 TEST(Trace, ObserverMatchesNetworkCounters) {
   sim::Simulator sim;
-  net::NetworkParams params;
-  net::Network network(sim, params, sim::RngStream(2));
-  for (int i = 0; i < 6; ++i) {
-    network.add_node(std::make_unique<mobility::StaticModel>(
-        geo::Vec2{5.0 * i, 0.0}));
-  }
-  Counter counter(6);
-  trace::NetworkAdapter adapter(counter);
-  network.set_observer(&adapter);
-  for (net::NodeId n = 0; n < 6; ++n) {
-    network.broadcast(n, net::make_payload<const NoopPayload>(), 48);
+  std::vector<geo::Vec2> line;
+  for (int i = 0; i < 6; ++i) line.push_back({5.0 * i, 0.0});
+  const auto network = make_network(sim, line, 2);
+  CountingObserver counter(6);
+  network->set_observer(&counter);
+  for (NodeId n = 0; n < 6; ++n) {
+    network->broadcast(n, net::make_payload<const NoopPayload>(), 48);
   }
   sim.run();
-  EXPECT_EQ(counter.count(EventKind::kTransmit), network.frames_transmitted());
-  EXPECT_EQ(counter.count(EventKind::kDeliver), network.frames_delivered());
+  EXPECT_EQ(counter.totals[CountingObserver::kTransmit],
+            network->frames_transmitted());
+  EXPECT_EQ(counter.totals[CountingObserver::kDeliver],
+            network->frames_delivered());
+}
+
+// `p2pmanet_sim --trace` attaches the writer after the run attached its
+// invariant checker. The writer must keep the checker fed: every event it
+// writes also reaches the observer it replaced.
+TEST(Trace, WriterForwardsToTheObserverItReplaces) {
+  sim::Simulator sim;
+  const auto network = make_network(sim, {{0, 0}, {5, 0}, {0, 5}});
+  CountingObserver checker(3);
+  network->set_observer(&checker);
+  std::ostringstream os;
+  trace::Writer writer(os, *network);
+  EXPECT_EQ(network->observer(), &writer);
+
+  network->broadcast(0, net::make_payload<const NoopPayload>(), 64);
+  sim.run();
+
+  EXPECT_EQ(checker.totals[CountingObserver::kTransmit], 1U);
+  EXPECT_EQ(checker.totals[CountingObserver::kDeliver], 2U);
+  EXPECT_EQ(checker.per_node[1][CountingObserver::kDeliver], 1U);
+  EXPECT_EQ(checker.per_node[2][CountingObserver::kDeliver], 1U);
+  std::istringstream lines(os.str());
+  std::string text;
+  std::vector<char> codes;
+  while (std::getline(lines, text)) codes.push_back(text.at(0));
+  EXPECT_EQ(codes, (std::vector<char>{'s', 'r', 'r'}));
 }
 
 }  // namespace

@@ -266,16 +266,13 @@ int main(int argc, char** argv) {
 
   std::ofstream trace_file;
   std::unique_ptr<trace::Writer> writer;
-  std::unique_ptr<trace::NetworkAdapter> adapter;
   if (!trace_path.empty()) {
     trace_file.open(trace_path);
     if (!trace_file) {
       std::cerr << "cannot open trace file: " << trace_path << "\n";
       return 1;
     }
-    writer = std::make_unique<trace::Writer>(trace_file);
-    adapter = std::make_unique<trace::NetworkAdapter>(*writer);
-    run.network().set_observer(adapter.get());
+    writer = std::make_unique<trace::Writer>(trace_file, run.network());
   }
 
   const auto result = run.run();
